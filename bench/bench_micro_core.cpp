@@ -12,13 +12,14 @@
 #include <string>
 #include <vector>
 
+#include "halide/kernels.h"
 #include "hir/canonicalize.h"
 #include "similarity/extraction.h"
 #include "specs/spec_db.h"
 #include "specs/x86_manual.h"
 #include "specs/x86_parser.h"
 #include "support/rng.h"
-#include "synthesis/compiler.h"
+#include "synthesis/cache.h"
 #include "trace_cli.h"
 
 using namespace hydride;

@@ -23,12 +23,12 @@
 #include <map>
 #include <set>
 
+#include "backends/backends.h"
 #include "backends/targets.h"
 #include "specs/spec_db.h"
 #include "support/strings.h"
 #include "support/table.h"
 #include "support/timing.h"
-#include "synthesis/compiler.h"
 #include "trace_cli.h"
 
 using namespace hydride;
@@ -65,13 +65,14 @@ main(int argc, char **argv)
             schedule.vector_bits = target.vector_bits;
             Kernel kernel = buildKernel(name, schedule);
             SynthesisCache fresh;
-            HydrideCompiler compiler(dict, target.isa, target.vector_bits,
-                                     options, &fresh);
+            HydrideBackend hydride(dict, target.isa, target.vector_bits,
+                                   options, &fresh);
+            CompiledKernel compiled;
             Stopwatch watch;
-            KernelCompilation compiled = compiler.compile(kernel);
+            hydride.compile(kernel, compiled);
             cold_ms[name] = watch.millis();
-            exprs[name] = static_cast<int>(compiled.pieces.size());
-            for (const auto &piece : compiled.pieces)
+            exprs[name] = static_cast<int>(compiled.windows.size());
+            for (const auto &piece : compiled.windows)
                 hashes[name].insert(HExpr::hashOf(piece));
             fresh.forEach([&](const SynthesisCache::Key &key,
                               const SynthesisResult &result) {
@@ -84,10 +85,11 @@ main(int argc, char **argv)
                                  SynthesisCache &cache,
                                  const Schedule &schedule) {
             Kernel kernel = buildKernel(name, schedule);
-            HydrideCompiler compiler(dict, target.isa, target.vector_bits,
-                                     options, &cache);
+            HydrideBackend hydride(dict, target.isa, target.vector_bits,
+                                   options, &cache);
+            CompiledKernel compiled;
             Stopwatch watch;
-            compiler.compile(kernel);
+            hydride.compile(kernel, compiled);
             return watch.millis();
         };
 

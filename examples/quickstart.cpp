@@ -14,10 +14,11 @@
 #include <iostream>
 
 #include "autollvm/tablegen.h"
+#include "codegen/lowering.h"
 #include "hir/canonicalize.h"
 #include "hir/printer.h"
 #include "specs/spec_db.h"
-#include "synthesis/compiler.h"
+#include "synthesis/cegis.h"
 
 using namespace hydride;
 

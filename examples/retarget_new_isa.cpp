@@ -14,11 +14,12 @@
 #include <iostream>
 
 #include "codegen/lowering.h"
+#include "halide/kernels.h"
 #include "hir/canonicalize.h"
 #include "specs/spec_db.h"
 #include "specs/x86_parser.h"
 #include "support/strings.h"
-#include "synthesis/compiler.h"
+#include "synthesis/cegis.h"
 
 using namespace hydride;
 

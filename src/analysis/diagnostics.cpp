@@ -1,5 +1,6 @@
 #include "analysis/diagnostics.h"
 
+#include "observability/bench/json.h"
 #include "observability/metrics.h"
 
 #include <algorithm>
@@ -20,23 +21,6 @@ severityName(Severity severity)
 }
 
 namespace {
-
-std::string
-jsonEscape(const std::string &text)
-{
-    std::string out;
-    out.reserve(text.size());
-    for (char c : text) {
-        switch (c) {
-          case '"': out += "\\\""; break;
-          case '\\': out += "\\\\"; break;
-          case '\n': out += "\\n"; break;
-          case '\t': out += "\\t"; break;
-          default: out += c; break;
-        }
-    }
-    return out;
-}
 
 int
 severityRank(Severity severity)
@@ -157,18 +141,18 @@ DiagnosticReport::renderJson() const
         if (i)
             os << ",";
         os << "{\"severity\":\"" << severityName(d.severity) << "\""
-           << ",\"rule\":\"" << jsonEscape(d.rule) << "\""
-           << ",\"pass\":\"" << jsonEscape(d.pass) << "\""
-           << ",\"isa\":\"" << jsonEscape(d.isa) << "\""
-           << ",\"instruction\":\"" << jsonEscape(d.instruction) << "\""
-           << ",\"loc\":\"" << jsonEscape(d.loc.str()) << "\""
-           << ",\"message\":\"" << jsonEscape(d.message) << "\"}";
+           << ",\"rule\":\"" << bjson::escape(d.rule) << "\""
+           << ",\"pass\":\"" << bjson::escape(d.pass) << "\""
+           << ",\"isa\":\"" << bjson::escape(d.isa) << "\""
+           << ",\"instruction\":\"" << bjson::escape(d.instruction) << "\""
+           << ",\"loc\":\"" << bjson::escape(d.loc.str()) << "\""
+           << ",\"message\":\"" << bjson::escape(d.message) << "\"}";
     }
     os << "],\"summary\":{\"errors\":" << errors_ << ",\"warnings\":"
        << warnings_ << ",\"notes\":" << notes_ << ",\"suppressed\":"
        << suppressed_ << "}";
     for (const auto &[key, raw_json] : extras_)
-        os << ",\"" << jsonEscape(key) << "\":" << raw_json;
+        os << ",\"" << bjson::escape(key) << "\":" << raw_json;
     os << "}";
     return os.str();
 }

@@ -3,6 +3,7 @@
 #include "analysis/mutate.h"
 #include "analysis/verifier.h"
 #include "autollvm/dict.h"
+#include "observability/bench/json.h"
 #include "observability/metrics.h"
 #include "support/strings.h"
 
@@ -88,23 +89,6 @@ exitStatus(const DiagnosticReport &report, bool werror)
     if (werror && report.warnings() > 0)
         return 1;
     return 0;
-}
-
-std::string
-jsonEscape(const std::string &text)
-{
-    std::string out;
-    out.reserve(text.size());
-    for (char c : text) {
-        switch (c) {
-          case '"': out += "\\\""; break;
-          case '\\': out += "\\\\"; break;
-          case '\n': out += "\\n"; break;
-          case '\t': out += "\\t"; break;
-          default: out += c; break;
-        }
-    }
-    return out;
 }
 
 std::string
@@ -202,10 +186,10 @@ equivSummaryJson(const EquivStats &stats)
         const EquivUnknown &u = stats.unknowns[i];
         if (i)
             os << ",";
-        os << "{\"rule\":\"" << jsonEscape(u.rule) << "\",\"isa\":\""
-           << jsonEscape(u.isa) << "\",\"subject\":\""
-           << jsonEscape(u.subject) << "\",\"reason\":\""
-           << jsonEscape(u.reason) << "\",\"seconds\":"
+        os << "{\"rule\":\"" << bjson::escape(u.rule) << "\",\"isa\":\""
+           << bjson::escape(u.isa) << "\",\"subject\":\""
+           << bjson::escape(u.subject) << "\",\"reason\":\""
+           << bjson::escape(u.reason) << "\",\"seconds\":"
            << secondsText(u.seconds) << "}";
     }
     os << "]}";

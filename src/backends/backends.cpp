@@ -439,10 +439,24 @@ RakeBackend::compile(const Kernel &kernel, CompiledKernel &out)
 
 // ---- HydrideBackend ---------------------------------------------------------
 
+namespace {
+
+ResilienceOptions
+paperPolicy(SynthesisOptions synthesis)
+{
+    ResilienceOptions options;
+    options.synthesis = std::move(synthesis);
+    options.retry_escalated = false;
+    return options;
+}
+
+} // namespace
+
 HydrideBackend::HydrideBackend(const AutoLLVMDict &dict, std::string isa,
                                int vector_bits, SynthesisOptions options,
                                SynthesisCache *cache)
-    : compiler_(dict, isa, vector_bits, options, cache),
+    : compiler_(dict, isa, vector_bits, paperPolicy(std::move(options)),
+                cache),
       isa_(std::move(isa))
 {
 }
@@ -454,14 +468,15 @@ HydrideBackend::compile(const Kernel &kernel, CompiledKernel &out)
     out.kernel = kernel.name;
     out.isa = isa_;
     out.programs.clear();
-    out.windows.clear();
-    out.groups.clear();
-    KernelCompilation compiled = compiler_.compile(kernel);
-    for (auto &window : compiled.windows)
-        out.programs.push_back(std::move(window.program));
-    out.windows = compiled.pieces;
-    out.groups = compiled.piece_group;
+    ResilientCompilation compiled = compiler_.compile(kernel);
+    out.windows = std::move(compiled.pieces);
+    out.groups = std::move(compiled.piece_group);
     out.compile_seconds = compiled.compile_seconds;
+    for (auto &window : compiled.windows) {
+        if (window.rung == Rung::Scalarized || window.rung == Rung::Failed)
+            return false;
+        out.programs.push_back(std::move(window.program));
+    }
     return true;
 }
 

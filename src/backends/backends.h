@@ -2,7 +2,8 @@
  * @file
  * The four compilers compared in the paper's evaluation (Fig. 6):
  *
- *  - HydrideBackend: the synthesis-based compiler (synthesis/).
+ *  - HydrideBackend: the synthesis-based compiler, i.e. the
+ *    resilient driver (driver/resilience.h) on the paper's policy.
  *  - HalideProdBackend: a stand-in for the production Halide
  *    target-specific back ends — hand-written pattern-matching rules
  *    that map known window shapes to efficient target sequences
@@ -26,7 +27,7 @@
 #include <string>
 #include <vector>
 
-#include "synthesis/compiler.h"
+#include "driver/resilience.h"
 
 namespace hydride {
 
@@ -116,7 +117,13 @@ class RakeBackend : public Backend
     std::string isa_;
 };
 
-/** Hydride wrapped in the common interface. */
+/**
+ * Hydride wrapped in the common interface: the resilient driver
+ * without the escalated retry, so a window gets exactly one CEGIS
+ * search under `options` (the paper's path). compile() returns false
+ * when a window ends Scalarized or Failed, since neither has a target
+ * program to put in a CompiledKernel.
+ */
 class HydrideBackend : public Backend
 {
   public:
@@ -126,10 +133,8 @@ class HydrideBackend : public Backend
     std::string name() const override { return "hydride"; }
     bool compile(const Kernel &kernel, CompiledKernel &out) override;
 
-    HydrideCompiler &compiler() { return compiler_; }
-
   private:
-    HydrideCompiler compiler_;
+    ResilientCompiler compiler_;
     std::string isa_;
 };
 

@@ -1,6 +1,7 @@
 #include "codegen/lowering.h"
 
 #include "observability/journal/journal.h"
+#include "observability/trace.h"
 #include "support/error.h"
 #include "support/faults.h"
 #include "support/strings.h"
@@ -99,6 +100,7 @@ LoweringResult
 lowerToTarget(const AutoModule &module, const AutoLLVMDict &dict,
               const std::string &isa)
 {
+    trace::TraceSpan span("codegen.lowering.lower");
     LoweringResult result;
     result.program.isa = isa;
     result.program.input_widths = module.input_widths;

@@ -61,6 +61,20 @@ ResilientCompilation::staticCost() const
 
 namespace {
 
+/** Escalated retry: the deadline and the symbolic node/conflict
+ *  budgets are multiplied by these on the one retry after a timeout. */
+constexpr double kTimeoutEscalation = 4.0;
+constexpr double kBudgetEscalation = 4.0;
+
+/** Concrete vectors for a store hit whose symbolic verdict is
+ *  unknown. */
+constexpr int kStoreVerifyVectors = 16;
+
+/** Neighbor warm start: max signature Hamming distance and how many
+ *  store seeds to pass to CEGIS. */
+constexpr int kStoreNeighborDistance = 8;
+constexpr size_t kStoreNeighborLimit = 4;
+
 /**
  * Run one ladder stage inside a recovery scope. Anything the stage
  * throws — a failed HYD_ASSERT, an injected fault, a CompileError
@@ -233,7 +247,7 @@ ResilientCompiler::tryPrimary(const HExprPtr &window, ResilientWindow &out)
                     !options_.store_verify ||
                     verifyRetrieved(dict_, window, stored->module,
                                     options_.synthesis.symbolic_budget,
-                                    options_.store_verify_vectors, why);
+                                    kStoreVerifyVectors, why);
                 if (trusted) {
                     LoweringResult lowered =
                         lowerToTarget(stored->module, dict_, isa_);
@@ -265,15 +279,14 @@ ResilientCompiler::tryPrimary(const HExprPtr &window, ResilientWindow &out)
         }
 
         SynthesisOptions synth_options = options_.synthesis;
-        if (store_.isOpen() && options_.store_neighbor_distance >= 0) {
+        if (store_.isOpen()) {
             // Approximate warm start: modules that solved windows a
             // few signature bits away. CEGIS verifies each against
             // *this* window's spec before using it, so a wrong
             // neighbor costs a few evaluations, never correctness.
-            for (const auto &neighbor : store_.nearest(
-                     window, isa_, options_.store_neighbor_distance,
-                     static_cast<size_t>(std::max(
-                         options_.store_neighbor_limit, 0)))) {
+            for (const auto &neighbor :
+                 store_.nearest(window, isa_, kStoreNeighborDistance,
+                                kStoreNeighborLimit)) {
                 synth_options.warm_seeds.push_back(
                     neighbor.result->module);
             }
@@ -296,13 +309,12 @@ ResilientCompiler::tryPrimary(const HExprPtr &window, ResilientWindow &out)
             // escalated; search exhaustion is never retried (a bigger
             // budget re-walks the same finished grammar).
             SynthesisOptions escalated = options_.synthesis;
-            escalated.timeout_seconds *= options_.timeout_escalation;
+            escalated.timeout_seconds *= kTimeoutEscalation;
             escalated.symbolic_budget.max_nodes = static_cast<size_t>(
-                escalated.symbolic_budget.max_nodes *
-                options_.budget_escalation);
+                escalated.symbolic_budget.max_nodes * kBudgetEscalation);
             escalated.symbolic_budget.max_conflicts = static_cast<long>(
                 escalated.symbolic_budget.max_conflicts *
-                options_.budget_escalation);
+                kBudgetEscalation);
             out.retries = 1;
             metrics::counter("resilience.retries").add();
             SynthesisResult retried =

@@ -3,10 +3,10 @@
  * The resilient compilation driver: per-window error barriers with a
  * guaranteed degradation ladder.
  *
- * `HydrideCompiler` (synthesis/compiler.h) implements the paper's
- * happy path: cache -> synthesis -> lowering, with macro expansion as
- * the one fallback. This driver wraps the same components in a
- * *recovery scope* per window: any stage may throw (a failed
+ * This is Hydride's one compile driver: the paper's pipeline
+ * (memoization cache -> CEGIS synthesis -> 1-1 lowering, with macro
+ * expansion for windows synthesis cannot handle, §4.1-4.2) run inside
+ * a *recovery scope* per window. Any stage may throw (a failed
  * invariant, an injected fault from support/faults.h, an exhausted
  * budget) or simply report failure, and the driver walks down a fixed
  * ladder until something succeeds:
@@ -39,7 +39,9 @@
 #include <string>
 #include <vector>
 
-#include "synthesis/compiler.h"
+#include "codegen/macro_expand.h"
+#include "halide/kernels.h"
+#include "synthesis/cache.h"
 #include "synthesis/store/store.h"
 
 namespace hydride {
@@ -63,11 +65,10 @@ struct ResilienceOptions
     /**
      * When synthesis fails specifically on its deadline (not search
      * exhaustion — escalation cannot help an exhausted grammar),
-     * retry once with the budgets below multiplied in.
+     * retry once with escalated time and symbolic budgets. The paper
+     * benches (HydrideBackend) turn this off.
      */
     bool retry_escalated = true;
-    double timeout_escalation = 4.0;
-    double budget_escalation = 4.0;
     /** Disable rungs (the chaos harness's --break-ladder mode uses
      *  these to prove the harness detects a broken ladder). */
     bool allow_macro_fallback = true;
@@ -91,12 +92,6 @@ struct ResilienceOptions
      * store entry can never reach codegen.
      */
     bool store_verify = true;
-    /** Concrete vectors for the unknown-verdict fallback above. */
-    int store_verify_vectors = 16;
-    /** Neighbor warm-start: max signature Hamming distance (< 0
-     *  disables retrieval) and how many seeds to pass to CEGIS. */
-    int store_neighbor_distance = 8;
-    int store_neighbor_limit = 4;
 };
 
 /** One recovered failure on the way down the ladder. */

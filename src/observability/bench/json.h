@@ -1,12 +1,13 @@
 /**
  * @file
  * Minimal JSON value, parser and writer for the benchmarking
- * subsystem. The repository's other JSON is write-only (trace and
- * metrics exports); the bench trajectory needs to *read* its own
- * artifacts back — `hydride-bench` merges per-binary reports and the
- * regression gate compares a run against a committed baseline — so
- * round-tripping lives here, stdlib-only, instead of growing a
- * third-party dependency.
+ * subsystem. The repository's other JSON is write-only (trace,
+ * metrics and verifier exports, which share escape()); the bench
+ * trajectory needs to *read* its own artifacts back — `hydride-bench`
+ * merges per-binary reports and the regression gate compares a run
+ * against a committed baseline — so round-tripping lives here,
+ * stdlib-only, instead of growing a third-party dependency. It has no
+ * dependencies and is built into hydride_observability.
  *
  * Supported: objects, arrays, strings (with \uXXXX escapes decoded
  * to UTF-8), doubles, bools, null. Numbers parse as double, which is
@@ -100,7 +101,8 @@ std::string write(const Value &value);
  *  diffable line-by-line). */
 std::string writePretty(const Value &value);
 
-/** JSON string escaping (shared with the writers). */
+/** JSON string escaping: quotes, backslashes and every control
+ *  character below 0x20. The one escaper every JSON writer uses. */
 std::string escape(const std::string &text);
 
 /** Format a finite double the way the bench schema expects

@@ -8,7 +8,7 @@
 namespace hydride {
 namespace bench {
 
-const char *const kSpanWindowCompiler = "synthesis.compiler.window";
+const char *const kSpanWindowDriver = "driver.resilience.window";
 const char *const kSpanWindowCegis = "synthesis.cegis.window";
 const char *const kSpanEnumerate = "synthesis.cegis.enumerate";
 const char *const kSpanConcreteEval = "synthesis.cegis.concrete_eval";
@@ -48,7 +48,7 @@ phaseOf(const std::string &name)
 bool
 isContainer(const std::string &name)
 {
-    return name == kSpanWindowCompiler || name == kSpanWindowCegis;
+    return name == kSpanWindowDriver || name == kSpanWindowCegis;
 }
 
 double
@@ -145,7 +145,7 @@ profilePhases(const std::vector<trace::SpanRecord> &spans)
             node.end_ns = span->start_ns + span->duration_ns;
             if (isContainer(span->name)) {
                 // Only the outermost window container counts; a
-                // cegis.window inside a compiler.window is transparent.
+                // cegis.window inside a resilience.window is transparent.
                 bool inside_container = false;
                 for (const Node &open : stack)
                     inside_container |= open.container;

@@ -17,9 +17,9 @@
  *
  * holds exactly — the invariant tests/test_bench_report.cpp pins.
  *
- * A "window" is an outermost `synthesis.compiler.window` or
- * `synthesis.cegis.window` span (the compiler wraps the latter in
- * the former; only the outermost counts). Phase spans outside any
+ * A "window" is an outermost `driver.resilience.window` or
+ * `synthesis.cegis.window` span (the driver wraps the latter in the
+ * former; only the outermost counts). Phase spans outside any
  * window (e.g. hydride-verify's equivalence passes) are ignored.
  */
 #ifndef HYDRIDE_OBSERVABILITY_BENCH_PHASE_PROFILER_H
@@ -70,7 +70,7 @@ struct PhaseProfile
 
 /** Span names the profiler maps to phases (shared with the hot-path
  *  instrumentation so the two cannot drift apart). */
-extern const char *const kSpanWindowCompiler;  // synthesis.compiler.window
+extern const char *const kSpanWindowDriver;    // driver.resilience.window
 extern const char *const kSpanWindowCegis;     // synthesis.cegis.window
 extern const char *const kSpanEnumerate;       // synthesis.cegis.enumerate
 extern const char *const kSpanConcreteEval;    // synthesis.cegis.concrete_eval

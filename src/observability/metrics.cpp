@@ -1,5 +1,6 @@
 #include "observability/metrics.h"
 
+#include "observability/bench/json.h"
 #include "support/env.h"
 
 #include <algorithm>
@@ -208,31 +209,6 @@ registry()
     return *reg;
 }
 
-std::string
-jsonEscape(const std::string &text)
-{
-    std::string out;
-    out.reserve(text.size() + 8);
-    for (const char c : text) {
-        switch (c) {
-        case '"': out += "\\\""; break;
-        case '\\': out += "\\\\"; break;
-        case '\n': out += "\\n"; break;
-        case '\r': out += "\\r"; break;
-        case '\t': out += "\\t"; break;
-        default:
-            if (static_cast<unsigned char>(c) < 0x20) {
-                char buf[8];
-                std::snprintf(buf, sizeof(buf), "\\u%04x", c);
-                out += buf;
-            } else {
-                out += c;
-            }
-        }
-    }
-    return out;
-}
-
 /** JSON numbers must not be NaN/Inf; histogram stats never are, but
  *  keep the formatter total. */
 std::string
@@ -328,14 +304,14 @@ exportJson()
     for (size_t i = 0; i < snap.counters.size(); ++i) {
         if (i)
             os << ",";
-        os << "\"" << jsonEscape(snap.counters[i].first)
+        os << "\"" << bjson::escape(snap.counters[i].first)
            << "\":" << snap.counters[i].second;
     }
     os << "},\"gauges\":{";
     for (size_t i = 0; i < snap.gauges.size(); ++i) {
         if (i)
             os << ",";
-        os << "\"" << jsonEscape(snap.gauges[i].first)
+        os << "\"" << bjson::escape(snap.gauges[i].first)
            << "\":" << snap.gauges[i].second;
     }
     os << "},\"histograms\":{";
@@ -343,7 +319,7 @@ exportJson()
         const Snapshot::Hist &hist = snap.histograms[i];
         if (i)
             os << ",";
-        os << "\"" << jsonEscape(hist.name) << "\":{\"bounds\":[";
+        os << "\"" << bjson::escape(hist.name) << "\":{\"bounds\":[";
         for (size_t b = 0; b < hist.bounds.size(); ++b) {
             if (b)
                 os << ",";

@@ -1,5 +1,6 @@
 #include "observability/trace.h"
 
+#include "observability/bench/json.h"
 #include "support/env.h"
 
 #include <algorithm>
@@ -67,31 +68,6 @@ threadDepth()
 {
     thread_local int depth = 0;
     return depth;
-}
-
-std::string
-jsonEscape(const std::string &text)
-{
-    std::string out;
-    out.reserve(text.size() + 8);
-    for (const char c : text) {
-        switch (c) {
-        case '"': out += "\\\""; break;
-        case '\\': out += "\\\\"; break;
-        case '\n': out += "\\n"; break;
-        case '\r': out += "\\r"; break;
-        case '\t': out += "\\t"; break;
-        default:
-            if (static_cast<unsigned char>(c) < 0x20) {
-                char buf[8];
-                std::snprintf(buf, sizeof(buf), "\\u%04x", c);
-                out += buf;
-            } else {
-                out += c;
-            }
-        }
-    }
-    return out;
 }
 
 /** Exit-time export path; empty when env export is off. */
@@ -228,7 +204,7 @@ exportChromeJson()
                       static_cast<unsigned long long>(span.duration_ns / 1000),
                       static_cast<unsigned long long>(span.duration_ns %
                                                       1000));
-        os << "{\"name\":\"" << jsonEscape(span.name)
+        os << "{\"name\":\"" << bjson::escape(span.name)
            << "\",\"ph\":\"X\",\"cat\":\"hydride\",\"pid\":1,\"tid\":"
            << span.thread_id << ",\"ts\":" << ts << ",\"dur\":" << dur;
         if (!span.attrs.empty()) {
@@ -236,8 +212,8 @@ exportChromeJson()
             for (size_t a = 0; a < span.attrs.size(); ++a) {
                 if (a)
                     os << ",";
-                os << "\"" << jsonEscape(span.attrs[a].first) << "\":\""
-                   << jsonEscape(span.attrs[a].second) << "\"";
+                os << "\"" << bjson::escape(span.attrs[a].first) << "\":\""
+                   << bjson::escape(span.attrs[a].second) << "\"";
             }
             os << "}";
         }

@@ -46,11 +46,6 @@ const SiteInfo kSites[] = {
     {"symbolic.budget",
      "the symbolic equivalence checker returns `unknown` (budget "
      "exhausted) instead of solving"},
-    {"cache.save",
-     "synthesis-cache persistence fails its atomic write"},
-    {"cache.corrupt",
-     "a loaded synthesis-cache entry reads as corrupt (checksum "
-     "mismatch -> salvage path)"},
     {"store.lock",
      "synthesis-store shard writer-lock acquisition fails (store "
      "becomes read-only for the attempt)"},

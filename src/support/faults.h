@@ -4,7 +4,7 @@
  *
  * Every recoverable seam of the pipeline — spec parsing, SpecDB
  * construction, similarity verification, CEGIS deadlines, symbolic
- * solver budgets, cache persistence, lowering, macro expansion —
+ * solver budgets, store persistence, lowering, macro expansion —
  * hosts a named *fault site*. A site is a single inline check that
  * costs one relaxed atomic load when no faults are configured (the
  * same discipline as the tracing and metrics layers), and consults
@@ -13,7 +13,7 @@
  * Faults are configured through the environment (or
  * programmatically, for tests and the chaos harness):
  *
- *   HYDRIDE_FAULTS="cegis.timeout@0.3,cache.corrupt:3,parser.malformed=vadd_s16,alloc.cap=64M"
+ *   HYDRIDE_FAULTS="cegis.timeout@0.3,store.load:3,parser.malformed=vadd_s16,alloc.cap=64M"
  *
  * Grammar, per comma-separated clause:
  *

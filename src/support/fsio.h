@@ -2,18 +2,17 @@
  * @file
  * EINTR-safe filesystem primitives for durable persistence.
  *
- * Every byte the synthesis store and cache promise to keep goes
- * through these helpers: plain write()/fsync()/rename() can be
- * interrupted by signals (EINTR) or fail transiently under memory
- * pressure, and a persistence layer that treats those as permanent
+ * Every byte the synthesis store promises to keep goes through these
+ * helpers: plain write()/fsync()/rename() can be interrupted by
+ * signals (EINTR) or fail transiently under memory pressure, and a persistence layer that treats those as permanent
  * failures turns a survivable hiccup into data loss. Each helper
  * retries the interrupted call with a bounded exponential backoff and
  * gives up — returning the ordinary failure path — only after the
  * budget is exhausted.
  *
  * None of these throw: persistence failures are ordinary outcomes the
- * callers (SynthesisCache::save, SynthesisStore::append) must
- * tolerate, per the PR-5 resilience discipline.
+ * callers (SynthesisStore::append, the store's meta publish) must
+ * tolerate (docs/robustness.md).
  */
 #ifndef HYDRIDE_SUPPORT_FSIO_H
 #define HYDRIDE_SUPPORT_FSIO_H

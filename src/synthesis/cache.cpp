@@ -1,25 +1,21 @@
 #include "synthesis/cache.h"
 
-#include "observability/journal/journal.h"
-#include "observability/log.h"
+#include "observability/bench/phase_profiler.h"
 #include "observability/metrics.h"
-#include "support/faults.h"
-#include "support/fsio.h"
+#include "observability/trace.h"
 #include "support/strings.h"
 
-#include <cstdio>
-#include <fstream>
 #include <sstream>
-
-#include <unistd.h>
 
 namespace hydride {
 
 const SynthesisResult *
 SynthesisCache::lookup(const HExprPtr &window, const std::string &isa)
 {
+    trace::TraceSpan span(bench::kSpanCacheLookup);
     const Key key{HExpr::hashOf(window), isa};
     auto it = entries_.find(key);
+    span.setAttr("hit", it != entries_.end());
     if (it == entries_.end()) {
         ++misses_;
         static metrics::Counter &miss_counter =
@@ -201,136 +197,5 @@ parseEntry(const std::string &block, const AutoLLVMDict &dict,
 }
 
 } // namespace cachefmt
-
-bool
-SynthesisCache::save(const std::string &path, const AutoLLVMDict &dict) const
-{
-    // Chaos seam: a failed save is an ordinary outcome callers must
-    // tolerate (the previous cache on disk stays intact either way).
-    if (faults::shouldFail("cache.save"))
-        return false;
-
-    // Atomic persistence via fsio::writeFileAtomic: temp file in the
-    // same directory, fsync, EINTR-safe rename over the target, then
-    // a directory fsync. A crash mid-save leaves the old cache
-    // untouched; the pid suffix on the temp file keeps concurrent
-    // savers from clobbering each other (last rename wins, both
-    // files stay well-formed).
-    std::ostringstream out;
-    out << "hydride-synth-cache v2 " << cachefmt::dictFingerprint(dict)
-        << "\n";
-    for (const auto &[key, entry] : entries_) {
-        const std::string block = cachefmt::serializeEntry(key, entry.result);
-        out << block << "check " << cachefmt::checksum(block) << "\n";
-    }
-    return fsio::writeFileAtomic(path, out.str());
-}
-
-namespace {
-
-/** `cache.load.*` observability: salvage must be visible without
- *  reading stderr, so every load outcome lands in the metrics
- *  registry and (when enabled) the provenance journal. */
-void
-noteLoadOutcome(const std::string &path, bool ok, bool salvaged,
-                size_t entries)
-{
-    metrics::counter("cache.load.attempts").add();
-    if (!ok)
-        metrics::counter("cache.load.failures").add();
-    if (salvaged)
-        metrics::counter("cache.load.salvaged").add();
-    metrics::counter("cache.load.entries").add(entries);
-    if (journal::enabled()) {
-        auto fields = bjson::Value::makeObject();
-        fields->set("path", bjson::Value::makeString(path));
-        fields->set("ok", bjson::Value::makeBool(ok));
-        fields->set("salvaged", bjson::Value::makeBool(salvaged));
-        fields->set("entries", bjson::Value::makeNumber(
-                                   static_cast<double>(entries)));
-        journal::emitEvent("cache_load", fields);
-    }
-}
-
-} // namespace
-
-bool
-SynthesisCache::load(const std::string &path, const AutoLLVMDict &dict)
-{
-    std::ifstream in(path);
-    if (!in) {
-        noteLoadOutcome(path, false, false, 0);
-        return false;
-    }
-    std::string header;
-    if (!std::getline(in, header)) {
-        noteLoadOutcome(path, false, false, 0);
-        return false;
-    }
-    std::istringstream hdr(header);
-    std::string magic;
-    std::string version;
-    uint64_t fingerprint = 0;
-    hdr >> magic >> version >> fingerprint;
-    if (magic != "hydride-synth-cache" || version != "v2" ||
-        fingerprint != cachefmt::dictFingerprint(dict)) {
-        noteLoadOutcome(path, false, false, 0);
-        return false;
-    }
-
-    // Salvage loader: entries are independent checksummed blocks, so
-    // a damaged file (bit flip, truncation, crash mid-write of an
-    // ancestor tool) costs only the entries at and after the damage —
-    // the valid prefix is kept instead of discarding the whole cache.
-    last_load_ = LoadStats{};
-    std::string line;
-    std::string block;
-    bool in_block = false;
-    while (std::getline(in, line)) {
-        if (line.rfind("entry ", 0) == 0) {
-            if (in_block)
-                break; // Previous block never saw its checksum line.
-            in_block = true;
-            block = line + "\n";
-            continue;
-        }
-        if (line.rfind("check ", 0) == 0) {
-            if (!in_block)
-                break;
-            in_block = false;
-            uint64_t recorded = 0;
-            std::istringstream chk(line.substr(6));
-            if (!(chk >> recorded) ||
-                recorded != cachefmt::checksum(block) ||
-                faults::shouldFail("cache.corrupt")) {
-                last_load_.salvaged = true;
-                break;
-            }
-            Key key;
-            SynthesisResult result;
-            if (!cachefmt::parseEntry(block, dict, key, result)) {
-                last_load_.salvaged = true;
-                break;
-            }
-            entries_[key].result = std::move(result);
-            ++last_load_.entries_loaded;
-            continue;
-        }
-        if (!in_block)
-            break; // Garbage between blocks.
-        block += line + "\n";
-    }
-    if (in_block)
-        last_load_.salvaged = true; // Truncated final block.
-    if (last_load_.salvaged) {
-        HYD_LOG(Warn,
-                format("synthesis cache `%s` is damaged; salvaged the "
-                       "valid prefix (%zu entries)",
-                       path.c_str(), last_load_.entries_loaded));
-    }
-    noteLoadOutcome(path, true, last_load_.salvaged,
-                    last_load_.entries_loaded);
-    return true;
-}
 
 } // namespace hydride

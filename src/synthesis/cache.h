@@ -11,7 +11,9 @@
  * times, Table 4's overhead rows), this is an in-memory C++ map with
  * negligible lookup cost — the improvement the paper explicitly
  * anticipates ("A fast language like C++ would greatly reduce cache
- * lookup times").
+ * lookup times"). The cache lives in memory only; results that must
+ * outlive the process go to the durable store (synthesis/store/),
+ * which serializes entries with the `cachefmt` wire format below.
  */
 #ifndef HYDRIDE_SYNTHESIS_CACHE_H
 #define HYDRIDE_SYNTHESIS_CACHE_H
@@ -79,42 +81,11 @@ class SynthesisCache
      *  whatever a prior partial write left behind. */
     void insertByKey(const Key &key, const SynthesisResult &result);
 
-    /**
-     * Persist the cache to a file so later compiler invocations reuse
-     * synthesis results (the paper's cross-invocation cache, minus
-     * the Racket lookup overhead its Table 4 laments). The file
-     * records a dictionary fingerprint; load() refuses caches built
-     * against a different dictionary.
-     *
-     * The write is atomic (temp file in the same directory, then
-     * rename), so a crash mid-save never destroys the previous good
-     * cache, and every entry carries a checksum the loader verifies.
-     */
-    bool save(const std::string &path,
-              const class AutoLLVMDict &dict) const;
-
-    /**
-     * Load a previously saved cache; false on mismatch/IO error.
-     * A damaged file (bit flip, truncation) is *salvaged*: the valid
-     * prefix of entries is kept, the load still succeeds, and
-     * loadStats() reports what happened.
-     */
-    bool load(const std::string &path, const class AutoLLVMDict &dict);
-
-    /** What the most recent load() did. */
-    struct LoadStats
-    {
-        bool salvaged = false;        ///< Damage was detected.
-        size_t entries_loaded = 0;    ///< Entries kept.
-    };
-    const LoadStats &loadStats() const { return last_load_; }
-
   private:
     /** The one insertion path: every public insert lands here. */
     void insertEntry(const Key &key, const SynthesisResult &result);
 
     std::map<Key, CachedEntry> entries_;
-    LoadStats last_load_;
     int hits_ = 0;
     int misses_ = 0;
     long lifetime_hits_ = 0;

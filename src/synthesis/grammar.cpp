@@ -1,5 +1,6 @@
 #include "synthesis/grammar.h"
 
+#include "observability/metrics.h"
 #include "support/error.h"
 #include "support/rng.h"
 
@@ -237,6 +238,12 @@ buildGrammar(const AutoLLVMDict &dict, const std::string &isa,
 
     for (const auto &[class_id, variants] : per_class) {
         const EquivalenceClass &cls = dict.cls(class_id);
+        if (cls.rep.bv_args.size() > static_cast<size_t>(kMaxOpOperands)) {
+            static metrics::Counter &skipped =
+                metrics::counter("synthesis.grammar.skipped_ops");
+            skipped.add(variants.size());
+            continue;
+        }
         const ClassFeatures cf = classFeatures(cls);
         const bool swizzle = cf.pure_swizzle;
 

@@ -34,6 +34,15 @@
 
 namespace hydride {
 
+/**
+ * Most vector operands a grammar op may take: the CEGIS value bank
+ * stores each candidate's operands inline in an array of this size.
+ * buildGrammar skips (and counts in `synthesis.grammar.skipped_ops`)
+ * any op with more. The widest AutoLLVM classes today, the x86
+ * `_mm*_mask_*` family, take 4.
+ */
+constexpr int kMaxOpOperands = 4;
+
 /** One usable instruction in a synthesis grammar. */
 struct GrammarOp
 {

@@ -18,6 +18,7 @@
 #include "analysis/verifier.h"
 #include "autollvm/dict.h"
 #include "codegen/lowering.h"
+#include "observability/bench/json.h"
 #include "specs/spec_db.h"
 
 namespace hydride {
@@ -389,6 +390,22 @@ TEST(Diagnostics, JsonRenderingIsWellFormed)
     EXPECT_NE(json.find("\"diagnostics\":["), std::string::npos);
     EXPECT_NE(json.find("\"rule\":\"WF03\""), std::string::npos);
     EXPECT_NE(json.find("\"summary\":"), std::string::npos);
+}
+
+TEST(Diagnostics, JsonEscapesControlCharacters)
+{
+    DiagnosticReport report;
+    Diagnostic diag;
+    diag.rule = "WF01";
+    diag.message = "line one\r\x01line \"two\"\n";
+    report.add(diag);
+    std::string error;
+    const bjson::ValuePtr doc = bjson::parse(report.renderJson(), error);
+    ASSERT_NE(doc, nullptr) << error;
+    const bjson::Value *diags = doc->get("diagnostics");
+    ASSERT_NE(diags, nullptr);
+    ASSERT_EQ(diags->items.size(), 1u);
+    EXPECT_EQ(diags->items[0]->getString("message", ""), diag.message);
 }
 
 TEST(Diagnostics, ExtrasAreSplicedIntoJson)

@@ -9,6 +9,7 @@
 #include "backends/simulator.h"
 #include "backends/targets.h"
 #include "specs/spec_db.h"
+#include "support/faults.h"
 #include "support/rng.h"
 
 namespace hydride {
@@ -150,6 +151,21 @@ TEST(HydrideBackend, SplitWindowsStillValidate)
     ASSERT_TRUE(hydride.compile(kernel, compiled));
     EXPECT_GE(compiled.programs.size(), kernel.windows.size());
     EXPECT_TRUE(validateCompiled(dict(), compiled, kernel));
+}
+
+TEST(HydrideBackend, ScalarizedWindowFailsTheCompileInsteadOfThrowing)
+{
+    // With lowering and macro expansion both failing, every window
+    // ends on the Scalarized rung, which has no target program.
+    ASSERT_TRUE(faults::configure("lowering.fail,macro.fail"));
+    SynthesisOptions options;
+    options.timeout_seconds = 2.0;
+    HydrideBackend hydride(dict(), "x86", 512, options);
+    CompiledKernel compiled;
+    bool ok = true;
+    EXPECT_NO_THROW(ok = hydride.compile(kernelFor("add", 512), compiled));
+    faults::reset();
+    EXPECT_FALSE(ok);
 }
 
 TEST(Simulator, CyclesScaleWithIterationsAndCost)

@@ -334,16 +334,16 @@ TEST(PhaseProfiler, AttributesExclusivelyAndSumsToWindowTotal)
 
 TEST(PhaseProfiler, NestedWindowContainersAreTransparent)
 {
-    // The compiler wraps cegis.window in compiler.window; only the
+    // The driver wraps cegis.window in resilience.window; only the
     // outermost container may count, else time doubles.
     std::vector<trace::SpanRecord> spans = {
-        span(kSpanWindowCompiler, 0, 100, 0),
+        span(kSpanWindowDriver, 0, 100, 0),
         span(kSpanWindowCegis, 5, 90, 1),
         span(kSpanEnumerate, 10, 30, 2),
     };
     const PhaseProfile profile = profilePhases(spans);
     ASSERT_EQ(profile.windows.size(), 1u);
-    EXPECT_EQ(profile.windows[0].container, kSpanWindowCompiler);
+    EXPECT_EQ(profile.windows[0].container, kSpanWindowDriver);
     EXPECT_NEAR(profile.aggregate.total_ms, 100.0, 1e-9);
     EXPECT_NEAR(profile.aggregate.enumeration_ms, 30.0, 1e-9);
     EXPECT_EQ(profile.aggregate.windows, 1u);

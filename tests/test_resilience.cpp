@@ -78,7 +78,7 @@ TEST(Faults, AlwaysModeFiresOnEveryEvaluation)
     ASSERT_TRUE(faults::configure("cegis.timeout"));
     EXPECT_TRUE(faults::shouldFail("cegis.timeout"));
     EXPECT_TRUE(faults::shouldFail("cegis.timeout"));
-    EXPECT_FALSE(faults::shouldFail("cache.save"));
+    EXPECT_FALSE(faults::shouldFail("lowering.fail"));
     EXPECT_EQ(faults::fireCount("cegis.timeout"), 2);
 }
 

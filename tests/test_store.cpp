@@ -4,8 +4,9 @@
  * (src/synthesis/store/): open/initialize, append/find round trips
  * across reopen, torn-record salvage with resync, fingerprint-gated
  * quarantine of incompatible stores, durable poison tombstones,
- * signature-based approximate retrieval, and forked concurrent
- * writers contending for one shard lock.
+ * signature-based approximate retrieval, forked concurrent writers
+ * contending for one shard lock, and synthesized modules outliving
+ * the in-memory SynthesisCache through the driver's store.
  *
  * The multi-process *crash* half (SIGKILL mid-append, stale-lock
  * takeover, poison reaching the driver) lives in hydride-chaos
@@ -22,9 +23,10 @@
 #include <sys/wait.h>
 #include <unistd.h>
 
-#include "halide/hexpr.h"
+#include "codegen/lowering.h"
+#include "driver/resilience.h"
+#include "halide/kernels.h"
 #include "support/rng.h"
-#include "synthesis/compiler.h"
 #include "synthesis/store/store.h"
 
 namespace hydride {
@@ -170,19 +172,65 @@ TEST_F(StoreTest, RoundTripAcrossReopen)
     ASSERT_NE(restored, nullptr);
     ASSERT_TRUE(restored->ok);
     EXPECT_EQ(restored->cost, solved.cost);
-    // The restored module must still compute.
+    // The restored module must still compute and lower.
     Rng rng(2024);
     std::vector<BitVector> inputs;
     for (int w : restored->module.input_widths)
         inputs.push_back(BitVector::random(w, rng));
     EXPECT_EQ(restored->module.evaluate(dict(), inputs),
               evalHalide(kernel.windows[0], inputs));
+    EXPECT_TRUE(lowerToTarget(restored->module, dict(), "x86").ok);
 
     const SynthesisResult *negative = reopened.find(probe(1), "x86");
     ASSERT_NE(negative, nullptr);
     EXPECT_FALSE(negative->ok);
     // Lookups are ISA-scoped.
     EXPECT_EQ(reopened.find(probe(1), "arm"), nullptr);
+}
+
+/** SynthesisCache is memory-only; a synthesized module outlives the
+ *  cache that produced it through the driver's durable store. */
+class CachePersistence : public StoreTest
+{
+};
+
+TEST_F(CachePersistence, RoundTripPreservesModules)
+{
+    Schedule schedule;
+    schedule.vector_bits = 512;
+    Kernel kernel = buildKernel("matmul_b1", schedule);
+    const HExprPtr &window = kernel.windows[0];
+    ResilienceOptions options;
+    options.store_path = root_;
+
+    ResilientWindow first;
+    {
+        SynthesisCache cache;
+        ResilientCompiler compiler(dict(), "x86", 512, options, &cache);
+        first = compiler.compileWindow(window);
+        ASSERT_EQ(first.rung, Rung::Synthesized);
+    }
+
+    // A fresh process-local cache: the result must come back from disk.
+    SynthesisCache fresh;
+    ResilientCompiler compiler(dict(), "x86", 512, options, &fresh);
+    ResilientWindow second = compiler.compileWindow(window);
+    EXPECT_EQ(second.cache_outcome, "store_hit");
+    EXPECT_EQ(second.rung, Rung::Cached);
+    EXPECT_EQ(second.synth.cost, first.synth.cost);
+    EXPECT_EQ(fresh.size(), 1u);
+    const SynthesisResult *restored = fresh.lookup(window, "x86");
+    ASSERT_NE(restored, nullptr);
+    ASSERT_TRUE(restored->ok);
+
+    // The restored module must still compute and lower.
+    Rng rng(101);
+    std::vector<BitVector> inputs;
+    for (int w : restored->module.input_widths)
+        inputs.push_back(BitVector::random(w, rng));
+    EXPECT_EQ(restored->module.evaluate(dict(), inputs),
+              evalHalide(window, inputs));
+    EXPECT_TRUE(lowerToTarget(restored->module, dict(), "x86").ok);
 }
 
 TEST_F(StoreTest, SalvageResyncsAtTheNextRecordHeader)

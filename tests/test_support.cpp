@@ -2,7 +2,7 @@
  * @file
  * Unit tests for the support utilities: strings, RNG, tables, and
  * the EINTR-safe filesystem primitives (support/fsio.h) under the
- * durable store and cache persistence.
+ * durable store.
  */
 #include <gtest/gtest.h>
 

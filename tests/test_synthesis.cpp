@@ -3,13 +3,15 @@
  * Tests for the code synthesizer: grammar pruning (BVS/SBOS/swizzle
  * inclusion), lane scaling, CEGIS end-to-end synthesis of the
  * paper's flagship dot-product windows, the memoization cache, and
- * the compiler driver with window splitting.
+ * the compile driver with window splitting.
  */
 #include <gtest/gtest.h>
 
+#include <algorithm>
+
+#include "driver/resilience.h"
 #include "specs/spec_db.h"
 #include "support/rng.h"
-#include "synthesis/compiler.h"
 
 namespace hydride {
 namespace {
@@ -194,6 +196,36 @@ TEST(Cegis, LaneScalingReportsScaleFactor)
     EXPECT_EQ(unscaled.cost, result.cost);
 }
 
+TEST(Cegis, FourOperandCandidatesEnumerateSafely)
+{
+    // sobel3x3's final 8-bit window at 256 bits: scaled by 8, its x86
+    // grammar holds masked saturating adds (`_mm512_mask_adds_epi8`:
+    // src, mask, a, b), which depth 2 combines with mask-width values.
+    // The search must finish exhausted, not crash or abort, well
+    // inside a deadline it never reaches.
+    Schedule schedule;
+    schedule.vector_bits = 256;
+    const HExprPtr window = buildKernel("sobel3x3", schedule).windows[2];
+    const int scale = 8;
+    const Grammar grammar = buildGrammar(
+        dict(), "x86", scaleWindow(window, scale), scale, GrammarOptions{});
+    int widest = 0;
+    for (const auto &op : grammar.ops)
+        widest = std::max(widest, static_cast<int>(op.arg_widths.size()));
+    ASSERT_EQ(widest, kMaxOpOperands);
+
+    SynthesisOptions options;
+    options.max_insts = 2;
+    options.max_combos = 200;
+    options.timeout_seconds = 60.0;
+    SynthesisResult result =
+        synthesizeWindow(dict(), "x86", window, options);
+    EXPECT_EQ(result.scale, scale);
+    EXPECT_EQ(result.note.rfind("search exhausted", 0), 0u) << result.note;
+    EXPECT_EQ(result.note.find("timeout"), std::string::npos) << result.note;
+    EXPECT_LT(result.seconds, options.timeout_seconds);
+}
+
 TEST(Cegis, StaticPruningPreservesResultAndRejectsCandidates)
 {
     // Default options: the abstract-interpretation tier discards
@@ -270,17 +302,25 @@ TEST(Cegis, SymbolicVerifyProvesTheFullWidthWinner)
     EXPECT_EQ(result.symbolic_unknowns, 0);
 }
 
+int
+windowsOnRung(const ResilientCompilation &compiled, Rung rung)
+{
+    int count = 0;
+    for (const auto &window : compiled.windows)
+        count += window.rung == rung ? 1 : 0;
+    return count;
+}
+
 TEST(Cache, HitsOnStructurallyIdenticalWindows)
 {
     SynthesisCache cache;
-    SynthesisOptions options;
-    HydrideCompiler compiler(dict(), "x86", 512, options, &cache);
+    ResilientCompiler compiler(dict(), "x86", 512, {}, &cache);
     Schedule schedule;
     schedule.vector_bits = 512;
     // matmul_b4 contains four structurally identical windows.
     Kernel kernel = buildKernel("matmul_b4", schedule);
-    KernelCompilation compiled = compiler.compile(kernel);
-    EXPECT_EQ(compiled.cache_hits, 3);
+    ResilientCompilation compiled = compiler.compile(kernel);
+    EXPECT_EQ(windowsOnRung(compiled, Rung::Cached), 3);
     EXPECT_EQ(cache.misses(), 1);
     EXPECT_EQ(cache.hits(), 3);
 }
@@ -288,43 +328,77 @@ TEST(Cache, HitsOnStructurallyIdenticalWindows)
 TEST(Cache, SharedAcrossKernels)
 {
     SynthesisCache cache;
-    SynthesisOptions options;
-    HydrideCompiler compiler(dict(), "x86", 512, options, &cache);
+    ResilientCompiler compiler(dict(), "x86", 512, {}, &cache);
     Schedule schedule;
     schedule.vector_bits = 512;
     compiler.compile(buildKernel("matmul_b1", schedule));
     const int misses_before = cache.misses();
-    // conv_nn's window only differs in operand order inside the
-    // commutative add... actually it shares matmul's dot structure.
-    KernelCompilation second =
+    // matmul_bias shares matmul_b1's dot-product window.
+    ResilientCompilation second =
         compiler.compile(buildKernel("matmul_bias", schedule));
-    EXPECT_GT(second.cache_hits, 0);
+    EXPECT_GT(windowsOnRung(second, Rung::Cached), 0);
     EXPECT_GE(cache.misses(), misses_before);
+}
+
+TEST(Cache, ClearPreservesLifetimeStatistics)
+{
+    SynthesisCache cache;
+    Schedule schedule;
+    schedule.vector_bits = 512;
+    Kernel kernel = buildKernel("matmul_b1", schedule);
+    const HExprPtr &window = kernel.windows[0];
+
+    EXPECT_EQ(cache.lookup(window, "x86"), nullptr); // Miss.
+    SynthesisResult result = synthesizeWindow(dict(), "x86", window);
+    cache.insert(window, "x86", result);
+    EXPECT_NE(cache.lookup(window, "x86"), nullptr); // Hit.
+    EXPECT_EQ(cache.hits(), 1);
+    EXPECT_EQ(cache.misses(), 1);
+
+    // clear() restarts the per-epoch counters but folds them into the
+    // lifetime totals instead of discarding them.
+    cache.clear();
+    EXPECT_EQ(cache.size(), 0u);
+    EXPECT_EQ(cache.hits(), 0);
+    EXPECT_EQ(cache.misses(), 0);
+    EXPECT_EQ(cache.lifetimeHits(), 1);
+    EXPECT_EQ(cache.lifetimeMisses(), 1);
+
+    EXPECT_EQ(cache.lookup(window, "x86"), nullptr); // Miss again.
+    EXPECT_EQ(cache.misses(), 1);
+    EXPECT_EQ(cache.lifetimeMisses(), 2);
+    EXPECT_EQ(cache.lifetimeHits(), 1);
+}
+
+/** The paper's path: one CEGIS search per window, no retry. */
+ResilienceOptions
+paperOptions(double timeout_seconds)
+{
+    ResilienceOptions options;
+    options.synthesis.timeout_seconds = timeout_seconds;
+    options.retry_escalated = false;
+    return options;
 }
 
 TEST(Compiler, FallsBackWhenSynthesisFails)
 {
     // ARM has no 2-way dot product: the compiler must still produce a
     // correct program through macro expansion.
-    SynthesisOptions options;
-    options.timeout_seconds = 2.0;
-    HydrideCompiler compiler(dict(), "arm", 128, options);
-    WindowCompilation compiled =
-        compiler.compileWindow(matmulWindow(128));
-    EXPECT_FALSE(compiled.synthesized);
+    ResilientCompiler compiler(dict(), "arm", 128, paperOptions(2.0));
+    ResilientWindow compiled = compiler.compileWindow(matmulWindow(128));
+    EXPECT_EQ(compiled.rung, Rung::MacroExpanded);
     EXPECT_FALSE(compiled.program.insts.empty());
 }
 
 TEST(Compiler, SplitsDeepWindows)
 {
-    SynthesisOptions options;
-    options.timeout_seconds = 2.0;
-    options.window_depth = 4;
-    HydrideCompiler compiler(dict(), "hvx", 1024, options);
+    ResilienceOptions options = paperOptions(2.0);
+    options.synthesis.window_depth = 4;
+    ResilientCompiler compiler(dict(), "hvx", 1024, options);
     Schedule schedule;
     schedule.vector_bits = 1024;
     Kernel gauss = buildKernel("gaussian3x3", schedule);
-    KernelCompilation compiled = compiler.compile(gauss);
+    ResilientCompilation compiled = compiler.compile(gauss);
     EXPECT_GT(compiled.windows.size(), gauss.windows.size());
     EXPECT_EQ(compiled.pieces.size(), compiled.windows.size());
 }

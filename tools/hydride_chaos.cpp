@@ -26,9 +26,8 @@
  *                                 dictionary, compile the probe
  *                                 kernels resiliently, verify every
  *                                 window (symbolic first, concrete
- *                                 sampling on Unknown), exercise
- *                                 cache save/load. Exit 0 iff the
- *                                 invariant held.
+ *                                 sampling on Unknown). Exit 0 iff
+ *                                 the invariant held.
  *   hydride-chaos --clause C      like --site, but with a verbatim
  *                                 HYDRIDE_FAULTS clause.
  *   hydride-chaos --break-ladder  deliberately disable the macro and
@@ -100,8 +99,6 @@ sweepPlan()
         {"cegis.timeout", "cegis.timeout"},
         {"alloc.cap", "alloc.cap=64K"},
         {"symbolic.budget", "symbolic.budget"},
-        {"cache.save", "cache.save"},
-        {"cache.corrupt", "cache.corrupt:1"},
         {"lowering.fail", "lowering.fail"},
         {"store.lock", "store.lock"},
         // Fires on the second append: one record lands cleanly first,
@@ -332,18 +329,6 @@ runSite(const std::string &site, const std::string &clause,
                 }
             }
         }
-    }
-
-    // Exercise the persistence seams (cache.save / cache.corrupt):
-    // a failed save and a salvaged load are ordinary outcomes; a
-    // crash in either is what the sweep exists to catch.
-    const std::string cache_path =
-        "/tmp/hydride_chaos_cache." + std::to_string(::getpid());
-    const bool saved = cache.save(cache_path, dict);
-    if (saved) {
-        SynthesisCache reloaded;
-        reloaded.load(cache_path, dict);
-        std::remove(cache_path.c_str());
     }
 
     std::system(("rm -rf '" + store_dir + "'").c_str());

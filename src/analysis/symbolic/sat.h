@@ -13,6 +13,15 @@
  * wrong merges/lowerings — which DPLL finds quickly. Hard UNSAT
  * instances exhaust the conflict budget and surface honestly as
  * `unknown(budget)`.
+ *
+ * Store re-proofs rely on that: the bit-blaster puts commutative and
+ * associative operands in canonical order (AigDomain), so the
+ * perfbench `warm_store` hits — `_mm512_dpwssd_epi32(%arg0, %arg2,
+ * %arg1)` against `a + sum(b * c)` (a 333 888-node miter; DPLL
+ * cannot prove `b * c == c * b` in 50 000 conflicts),
+ * `vmaxq_u8(%arg1, %arg0)` against `maxu(in0, in1)`, and
+ * `maxu(maxu(in0, in1), in2)` against `maxu(maxu(in2, in0), in1)` —
+ * build one circuit on both sides and never reach the solver.
  */
 #ifndef HYDRIDE_ANALYSIS_SYMBOLIC_SAT_H
 #define HYDRIDE_ANALYSIS_SYMBOLIC_SAT_H

@@ -1,12 +1,158 @@
 #include "analysis/symbolic/sym_eval.h"
 
+#include <algorithm>
+
 namespace hydride {
 namespace sym {
 
 // ---- AigDomain ----------------------------------------------------------
 
+namespace {
+
+/** Leaf order: lexicographic on literals, with the constants 0/1
+ *  ranked last, so constant operands fold in at the end, where source
+ *  semantics usually write them ((a + b) + 1). */
+bool
+leafLess(const SymVec &a, const SymVec &b)
+{
+    return std::lexicographical_compare(
+        a.bits.begin(), a.bits.end(), b.bits.begin(), b.bits.end(),
+        [](Lit x, Lit y) { return x - 2u < y - 2u; });
+}
+
+bool
+sameLeaf(const SymVec &a, const SymVec &b)
+{
+    return a.bits == b.bits;
+}
+
+/** x op x == x. */
+bool
+idempotent(BVBinOp op)
+{
+    return op == BVBinOp::And || op == BVBinOp::Or || op == BVBinOp::MinS ||
+           op == BVBinOp::MaxS || op == BVBinOp::MinU || op == BVBinOp::MaxU;
+}
+
+std::vector<Lit>
+termKey(BVBinOp op, const SymVec &value)
+{
+    std::vector<Lit> key;
+    key.reserve(value.bits.size() + 1);
+    key.push_back(static_cast<Lit>(op));
+    key.insert(key.end(), value.bits.begin(), value.bits.end());
+    return key;
+}
+
+/** Key of the fold of `leaves[0, count)`; all leaves share a width. */
+std::vector<Lit>
+foldKey(BVBinOp op, const std::vector<SymVec> &leaves, size_t count)
+{
+    std::vector<Lit> key = {static_cast<Lit>(op),
+                            static_cast<Lit>(leaves[0].width())};
+    key.reserve(2 + count * leaves[0].bits.size());
+    for (size_t k = 0; k < count; ++k)
+        key.insert(key.end(), leaves[k].bits.begin(), leaves[k].bits.end());
+    return key;
+}
+
+} // namespace
+
+size_t
+AigDomain::LitsHash::operator()(const std::vector<Lit> &lits) const
+{
+    size_t h = lits.size();
+    for (Lit l : lits)
+        h ^= l + 0x9E3779B97F4A7C15ull + (h << 6) + (h >> 2);
+    return h;
+}
+
 SymVec
 AigDomain::binOp(BVBinOp op, const SymVec &a, const SymVec &b)
+{
+    switch (op) {
+      case BVBinOp::Add:
+      case BVBinOp::Mul:
+      case BVBinOp::And:
+      case BVBinOp::Or:
+      case BVBinOp::Xor:
+      case BVBinOp::MinS:
+      case BVBinOp::MaxS:
+      case BVBinOp::MinU:
+      case BVBinOp::MaxU:
+        return acOp(op, a, b);
+      case BVBinOp::AddSatS:
+      case BVBinOp::AddSatU:
+      case BVBinOp::AvgU:
+      case BVBinOp::AvgS:
+        // Commutative, not associative: only the pair is ordered.
+        return leafLess(b, a) ? build(op, b, a) : build(op, a, b);
+      default:
+        return build(op, a, b);
+    }
+}
+
+SymVec
+AigDomain::acOp(BVBinOp op, const SymVec &a, const SymVec &b)
+{
+    std::vector<SymVec> leaves;
+    for (const SymVec *operand : {&a, &b}) {
+        const auto it = terms_.find(termKey(op, *operand));
+        if (it == terms_.end())
+            leaves.push_back(*operand);
+        else
+            leaves.insert(leaves.end(), it->second.begin(), it->second.end());
+    }
+    std::sort(leaves.begin(), leaves.end(), leafLess);
+    if (idempotent(op)) {
+        leaves.erase(std::unique(leaves.begin(), leaves.end(), sameLeaf),
+                     leaves.end());
+    } else if (op == BVBinOp::Xor) {
+        // x ^ x == 0: sorting made equal leaves adjacent; drop pairs.
+        std::vector<SymVec> kept;
+        for (SymVec &leaf : leaves) {
+            if (!kept.empty() && sameLeaf(kept.back(), leaf))
+                kept.pop_back();
+            else
+                kept.push_back(std::move(leaf));
+        }
+        if (kept.empty())
+            return makeZero(a.width());
+        leaves = std::move(kept);
+    }
+    SymVec out = foldLeaves(op, leaves);
+    // A result that *is* one of its leaves (x + 0, max(x, x)) stays a
+    // leaf: recording it would splice it into itself.
+    if (std::none_of(leaves.begin(), leaves.end(),
+                     [&](const SymVec &leaf) { return sameLeaf(leaf, out); }))
+        terms_.emplace(termKey(op, out), std::move(leaves));
+    return out;
+}
+
+SymVec
+AigDomain::foldLeaves(BVBinOp op, const std::vector<SymVec> &leaves)
+{
+    // Resume from the longest prefix already folded, then extend it
+    // one leaf at a time, memoizing each new prefix.
+    size_t done = 1;
+    SymVec acc = leaves[0];
+    for (size_t count = leaves.size(); count > 1; --count) {
+        const auto it = folds_.find(foldKey(op, leaves, count));
+        if (it != folds_.end()) {
+            acc = it->second;
+            done = count;
+            break;
+        }
+    }
+    for (; done < leaves.size(); ++done) {
+        acc = build(op, acc, leaves[done]);
+        folds_.emplace(foldKey(op, leaves, done + 1), acc);
+    }
+    return acc;
+}
+
+SymVec
+AigDomain::build(BVBinOp op, const SymVec &a, const SymVec &b)
 {
     switch (op) {
       case BVBinOp::Add: return svAdd(aig_, a, b);

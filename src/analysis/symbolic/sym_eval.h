@@ -28,6 +28,9 @@
 #ifndef HYDRIDE_ANALYSIS_SYMBOLIC_SYM_EVAL_H
 #define HYDRIDE_ANALYSIS_SYMBOLIC_SYM_EVAL_H
 
+#include <unordered_map>
+#include <vector>
+
 #include "analysis/symbolic/bitblast.h"
 #include "analysis/symbolic/knownbits.h"
 #include "hir/semantics.h"
@@ -36,7 +39,24 @@
 namespace hydride {
 namespace sym {
 
-/** Bit-blasting domain: values are AIG literal vectors. */
+/**
+ * Bit-blasting domain: values are AIG literal vectors.
+ *
+ * `binOp` puts operands in canonical order before bit-blasting, so
+ * operand order and association do not change the circuit
+ * (docs/symbolic_engine.md, tier 2). For the associative-commutative
+ * ops (Add, Mul, And, Or, Xor, MinS, MaxS, MinU, MaxU) the domain
+ * remembers which sorted leaves each result was folded from; an
+ * operand built by the same op contributes its leaves instead of
+ * itself; the leaves are sorted, duplicates are dropped for the
+ * idempotent ops and cancelled in pairs for Xor, and the rest is
+ * left-folded through the plain builders. The commutative-only ops
+ * (AddSatS, AddSatU, AvgU, AvgS) order their two operands. Sound
+ * because a literal vector in the hashed AIG denotes
+ * exactly one function of the inputs, and each rewrite is the op's
+ * own algebraic law. The bookkeeping lives as long as the domain:
+ * one equivalence query, whose two sides share the AIG.
+ */
 class AigDomain
 {
   public:
@@ -70,7 +90,24 @@ class AigDomain
     int knownBool(const Value &v) const;
 
   private:
+    struct LitsHash
+    {
+        size_t operator()(const std::vector<Lit> &lits) const;
+    };
+
+    /** The plain builder for one operator, operands as given. */
+    SymVec build(BVBinOp op, const SymVec &a, const SymVec &b);
+    /** An associative-commutative op over flattened, sorted leaves. */
+    SymVec acOp(BVBinOp op, const SymVec &a, const SymVec &b);
+    /** Left fold of sorted leaves, memoized on every prefix. */
+    SymVec foldLeaves(BVBinOp op, const std::vector<SymVec> &leaves);
+
     Aig &aig_;
+    /** (op, result literals) -> the sorted leaves it was folded from. */
+    std::unordered_map<std::vector<Lit>, std::vector<SymVec>, LitsHash>
+        terms_;
+    /** (op, width, leaf literals...) -> the fold of those leaves. */
+    std::unordered_map<std::vector<Lit>, SymVec, LitsHash> folds_;
 };
 
 /** Known-bits domain: sound abstract interpretation, no AIG nodes. */

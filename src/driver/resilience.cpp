@@ -117,26 +117,33 @@ barrier(const char *stage, ResilientWindow &out,
  * Trust-but-verify for a retrieved store entry: symbolic equivalence
  * first (the strong tier), concrete sampling when the symbolic
  * verdict is unknown. Returns false — with a reason — when the entry
- * is refuted; the caller quarantines it. The `store.verify` chaos
+ * is refuted; the caller quarantines it. `eq` receives the symbolic
+ * verdict and the tier that decided it, so an "unknown, then
+ * sampled" hit is told apart from a proof. The `store.verify` chaos
  * seam forces a refutation to exercise the poisoning path.
  */
 bool
 verifyRetrieved(const AutoLLVMDict &dict, const HExprPtr &window,
                 const AutoModule &module, const sym::EqBudget &budget,
-                int concrete_vectors, std::string &why)
+                int concrete_vectors, std::string &why, sym::EqResult &eq)
 {
     if (faults::shouldFail("store.verify")) {
         why = "injected store.verify fault";
         return false;
     }
-    const sym::EqResult eq =
-        sym::checkModuleEquiv(dict, module, window, budget);
-    if (eq.verdict == sym::Verdict::Proved)
+    eq = sym::checkModuleEquiv(dict, module, window, budget);
+    if (eq.verdict == sym::Verdict::Proved) {
+        metrics::counter("resilience.store.verify.proved").add();
+        HYD_LOG(Debug, "store hit proved (" + eq.method + " tier)");
         return true;
+    }
     if (eq.verdict == sym::Verdict::Refuted) {
         why = "symbolically refuted (" + eq.method + " tier)";
         return false;
     }
+    metrics::counter("resilience.store.verify.unknown").add();
+    HYD_LOG(Debug, "store hit unknown (" + eq.reason +
+                       "); sampling concretely");
     // Unknown verdict: fall back to concrete sampling. Fixed seed so
     // a poisoned entry fails deterministically run to run.
     Rng rng(0x570F3u ^ HExpr::hashOf(window));
@@ -243,11 +250,12 @@ ResilientCompiler::tryPrimary(const HExprPtr &window, ResilientWindow &out)
                     return false;
                 }
                 std::string why;
+                sym::EqResult eq;
                 const bool trusted =
                     !options_.store_verify ||
                     verifyRetrieved(dict_, window, stored->module,
                                     options_.synthesis.symbolic_budget,
-                                    kStoreVerifyVectors, why);
+                                    kStoreVerifyVectors, why, eq);
                 if (trusted) {
                     LoweringResult lowered =
                         lowerToTarget(stored->module, dict_, isa_);
@@ -257,8 +265,16 @@ ResilientCompiler::tryPrimary(const HExprPtr &window, ResilientWindow &out)
                         out.rung = Rung::Cached;
                         out.from_cache = true;
                         out.synth = *stored;
+                        // The ledger reports this compile's re-proof
+                        // (none without store_verify), not the
+                        // verdict recorded at synthesis time.
+                        const bool verified = options_.store_verify;
+                        out.synth.symbolic_verdict =
+                            verified ? sym::verdictName(eq.verdict) : "";
+                        out.synth.symbolic_unknowns =
+                            verified && eq.verdict == sym::Verdict::Unknown;
                         cache_->insertByKey({HExpr::hashOf(window), isa_},
-                                            *stored);
+                                            out.synth);
                         out.program = std::move(lowered.program);
                         return true;
                     }

@@ -83,7 +83,9 @@ struct WindowLedger
     int candidates_rejected_static = 0;
     int symbolic_refutations = 0;
     int symbolic_unknowns = 0;
-    std::string symbolic_verdict; ///< "" when the checker never ran.
+    /** "" when the checker never ran; on a store hit, the verdict of
+     *  the hit's re-proof (symbolic_unknowns counts its unknown). */
+    std::string symbolic_verdict;
     std::string note;             ///< Synthesizer's failure note, if any.
     int retries = 0;
     bool recovered = false;  ///< An error barrier caught something.

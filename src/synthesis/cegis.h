@@ -107,7 +107,9 @@ struct SynthesisResult
     /** Symbolic queries that exhausted their budget. */
     int symbolic_unknowns = 0;
     /** Final full-width verdict: "proved", "refuted", "unknown", or
-     *  empty when symbolic verification was off / never reached. */
+     *  empty when symbolic verification was off / never reached. On a
+     *  store hit the driver overwrites this and `symbolic_unknowns`
+     *  with the verdict of its re-proof. */
     std::string symbolic_verdict;
     /** Warm-start seeds tried before enumeration. */
     int warm_seeds_tried = 0;

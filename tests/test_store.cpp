@@ -233,6 +233,52 @@ TEST_F(CachePersistence, RoundTripPreservesModules)
     EXPECT_TRUE(lowerToTarget(restored->module, dict(), "x86").ok);
 }
 
+/** Compile `window` into a fresh store, then again through a fresh
+ *  compiler and cache: the second compile must be a store hit whose
+ *  re-proof the ledger reports as `proved`. */
+void
+expectStoreHitProved(const AutoLLVMDict &dict, const std::string &isa,
+                     int vector_bits, const HExprPtr &window,
+                     const std::string &root)
+{
+    ResilienceOptions options;
+    options.store_path = root;
+    // A safety net, not a budget: the first compile must synthesize
+    // even on a loaded or sanitized build.
+    options.synthesis.timeout_seconds = 120;
+    {
+        SynthesisCache cache;
+        ResilientCompiler compiler(dict, isa, vector_bits, options, &cache);
+        ASSERT_EQ(compiler.compileWindow(window).rung, Rung::Synthesized);
+    }
+    SynthesisCache fresh;
+    ResilientCompiler compiler(dict, isa, vector_bits, options, &fresh);
+    const ResilientWindow hit = compiler.compileWindow(window);
+    EXPECT_EQ(hit.cache_outcome, "store_hit");
+    EXPECT_EQ(hit.rung, Rung::Cached);
+    EXPECT_EQ(hit.synth.symbolic_verdict, "proved");
+    EXPECT_EQ(hit.synth.symbolic_unknowns, 0);
+    for (const auto &diag : hit.diagnostics)
+        EXPECT_NE(diag.site, "store.verify") << diag.detail;
+}
+
+TEST_F(StoreTest, CommutedStoreHitsReproveAsProved)
+{
+    // Both synthesized modules compute max / mul with operands in
+    // another order than the window. The re-proof must still close
+    // symbolically (canonical operand order in the bit-blaster), not
+    // fall back to sampling after exhausting the SAT budget.
+    static const AutoLLVMDict arm = AutoLLVMDict::build({"arm"});
+    const HExprPtr max3 =
+        hBin(HOp::MaxU, hBin(HOp::MaxU, hInput(0, 8, 16), hInput(1, 8, 16)),
+             hInput(2, 8, 16));
+    expectStoreHitProved(arm, "arm", 128, max3, root_ + ".arm");
+    std::system(("rm -rf '" + root_ + ".arm'").c_str());
+
+    Kernel mul = buildKernel("mul", Schedule{});
+    expectStoreHitProved(dict(), "x86", 256, mul.windows[0], root_);
+}
+
 TEST_F(StoreTest, SalvageResyncsAtTheNextRecordHeader)
 {
     {

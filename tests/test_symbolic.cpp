@@ -7,6 +7,7 @@
  */
 #include <gtest/gtest.h>
 
+#include <functional>
 #include <memory>
 
 #include "analysis/symbolic/equiv.h"
@@ -289,10 +290,10 @@ evalTreeDom(const Tree &t, Domain &dom, const std::vector<V> &args)
 }
 
 sym::BVFun
-funFromTree(TreePtr tree, int width)
+funFromTree(TreePtr tree, int width, int inputs = 2)
 {
     sym::BVFun fun;
-    fun.arg_widths = {width, width};
+    fun.arg_widths.assign(static_cast<size_t>(inputs), width);
     fun.concrete = [tree](const std::vector<BitVector> &args) {
         return evalTreeConcrete(*tree, args);
     };
@@ -311,20 +312,34 @@ funFromTree(TreePtr tree, int width)
     return fun;
 }
 
-/** Exhaustively compare two trees over all inputs of `width` bits. */
+/** Exhaustively compare two trees over all `inputs` arguments of
+ *  `width` bits. */
 bool
-exhaustivelyEqual(const Tree &a, const Tree &b, int width)
+exhaustivelyEqual(const Tree &a, const Tree &b, int width, int inputs = 2)
 {
-    for (uint64_t va = 0; va < (uint64_t(1) << width); ++va) {
-        for (uint64_t vb = 0; vb < (uint64_t(1) << width); ++vb) {
-            const std::vector<BitVector> args = {
-                BitVector::fromUint(width, va),
-                BitVector::fromUint(width, vb)};
-            if (evalTreeConcrete(a, args) != evalTreeConcrete(b, args))
-                return false;
-        }
+    const uint64_t mask = (uint64_t(1) << width) - 1;
+    std::vector<BitVector> args(static_cast<size_t>(inputs));
+    for (uint64_t code = 0; code < (uint64_t(1) << (width * inputs));
+         ++code) {
+        for (int i = 0; i < inputs; ++i)
+            args[i] = BitVector::fromUint(width, (code >> (i * width)) & mask);
+        if (evalTreeConcrete(a, args) != evalTreeConcrete(b, args))
+            return false;
     }
     return true;
+}
+
+/** Bit-blast two trees into one AIG (as checkEquiv does) and return
+ *  whether the domain built the very same literal vector for both. */
+bool
+blastsIdentically(const Tree &a, const Tree &b, int width, int inputs)
+{
+    Aig aig;
+    sym::AigDomain dom(aig);
+    std::vector<sym::SymVec> args;
+    for (int i = 0; i < inputs; ++i)
+        args.push_back(sym::svInputs(aig, width));
+    return evalTreeDom(a, dom, args).bits == evalTreeDom(b, dom, args).bits;
 }
 
 TEST(CheckEquiv, ProvesAlgebraicIdentities)
@@ -432,6 +447,193 @@ TEST(CheckEquiv, VerdictsAgreeWithExhaustiveEnumeration)
     // The fuzz must exercise both verdicts to mean anything.
     EXPECT_GT(proved, 0);
     EXPECT_GT(refuted, 0);
+}
+
+TEST(CheckEquiv, OperandOrderAndAssociationProveStructurally)
+{
+    // The store re-proof shapes (commuted multiplies and maxima,
+    // reassociated max chains) must close in the structural tier:
+    // AigDomain canonicalizes operand order, so both sides bit-blast
+    // to one circuit and the SAT core never runs.
+    const TreePtr a = leaf(0), b = leaf(1), c = leaf(2);
+    const struct
+    {
+        const char *name;
+        TreePtr lhs, rhs;
+    } identities[] = {
+        {"mul-commutes", node(BVBinOp::Mul, a, b), node(BVBinOp::Mul, b, a)},
+        {"add-reassociates", node(BVBinOp::Add, node(BVBinOp::Add, a, b), c),
+         node(BVBinOp::Add, a, node(BVBinOp::Add, b, c))},
+        {"maxu-reorders",
+         node(BVBinOp::MaxU, node(BVBinOp::MaxU, a, b), c),
+         node(BVBinOp::MaxU, node(BVBinOp::MaxU, c, a), b)},
+        {"addsatu-commutes", node(BVBinOp::AddSatU, a, b),
+         node(BVBinOp::AddSatU, b, a)},
+        {"mixed-tree", node(BVBinOp::MaxS, node(BVBinOp::Add, a, b), c),
+         node(BVBinOp::MaxS, c, node(BVBinOp::Add, b, a))},
+    };
+    for (const int w : {8, 16}) {
+        for (const auto &id : identities) {
+            const sym::EqResult r =
+                sym::checkEquiv(funFromTree(id.lhs, w, 3),
+                                funFromTree(id.rhs, w, 3), sym::EqBudget{});
+            EXPECT_EQ(r.verdict, sym::Verdict::Proved)
+                << id.name << "@" << w << ": " << r.reason;
+            EXPECT_EQ(r.method, "structural") << id.name << "@" << w;
+            EXPECT_EQ(r.conflicts, 0) << id.name << "@" << w;
+        }
+    }
+}
+
+TEST(CheckEquiv, CanonicalOrderNeverMergesAcrossOps)
+{
+    // Sub is not commutative, and max(a + b, c) is not max(a, b + c):
+    // leaves are only ever spliced into a term of the *same* op, so
+    // neither pair may share a circuit, and both must be refuted.
+    const TreePtr a = leaf(0), b = leaf(1), c = leaf(2);
+    const struct
+    {
+        const char *name;
+        TreePtr lhs, rhs;
+    } wrongs[] = {
+        {"sub-anticommutes", node(BVBinOp::Sub, a, b),
+         node(BVBinOp::Sub, b, a)},
+        {"max-of-sums", node(BVBinOp::MaxS, node(BVBinOp::Add, a, b), c),
+         node(BVBinOp::MaxS, a, node(BVBinOp::Add, b, c))},
+    };
+    for (const int w : {8, 16}) {
+        for (const auto &wrong : wrongs) {
+            EXPECT_FALSE(blastsIdentically(*wrong.lhs, *wrong.rhs, w, 3))
+                << wrong.name << "@" << w;
+            const sym::EqResult r = sym::checkEquiv(
+                funFromTree(wrong.lhs, w, 3), funFromTree(wrong.rhs, w, 3),
+                sym::EqBudget{});
+            ASSERT_EQ(r.verdict, sym::Verdict::Refuted)
+                << wrong.name << "@" << w;
+            EXPECT_NE(evalTreeConcrete(*wrong.lhs, r.model),
+                      evalTreeConcrete(*wrong.rhs, r.model))
+                << wrong.name << "@" << w;
+        }
+    }
+}
+
+TEST(CheckEquiv, CanonicalOrderFuzzAgreesWithEnumeration)
+{
+    // Soundness fuzz for operand canonicalization: random chains of
+    // associative-commutative ops (depth >= 3) mixed with the
+    // commutative-only ops and Sub/Shl. A randomly commuted and
+    // reassociated copy must prove; the same copy with one leaf
+    // perturbed must be refuted whenever exhaustive enumeration finds
+    // a difference, and must never be refuted when it finds none.
+    const BVBinOp ops[] = {
+        BVBinOp::Add,     BVBinOp::Mul,     BVBinOp::And,  BVBinOp::Or,
+        BVBinOp::Xor,     BVBinOp::MinS,    BVBinOp::MaxS, BVBinOp::MinU,
+        BVBinOp::MaxU,    BVBinOp::AddSatS, BVBinOp::AddSatU,
+        BVBinOp::AvgU,    BVBinOp::AvgS,    BVBinOp::Sub,  BVBinOp::Shl};
+    const auto associative = [](BVBinOp op) {
+        return op == BVBinOp::Add || op == BVBinOp::Mul ||
+               op == BVBinOp::And || op == BVBinOp::Or ||
+               op == BVBinOp::Xor || op == BVBinOp::MinS ||
+               op == BVBinOp::MaxS || op == BVBinOp::MinU ||
+               op == BVBinOp::MaxU;
+    };
+    const auto commutative = [&](BVBinOp op) {
+        return associative(op) || op == BVBinOp::AddSatS ||
+               op == BVBinOp::AddSatU || op == BVBinOp::AvgU ||
+               op == BVBinOp::AvgS;
+    };
+    Rng rng(0xAC0DEu);
+    int inputs = 2;
+    // A chain: the parent's op continues with probability 1/2, and
+    // one child of every node (the spine) reaches the full depth.
+    const std::function<TreePtr(int, BVBinOp)> chain = [&](int depth,
+                                                           BVBinOp parent) {
+        if (depth == 0)
+            return leaf(static_cast<int>(rng.nextBelow(inputs)));
+        const BVBinOp op = associative(parent) && rng.nextBelow(2) == 0
+                               ? parent
+                               : ops[rng.nextBelow(std::size(ops))];
+        TreePtr spine = chain(depth - 1, op);
+        TreePtr other = chain(static_cast<int>(rng.nextBelow(depth)), op);
+        if (rng.nextBelow(2) == 0)
+            std::swap(spine, other);
+        return node(op, spine, other);
+    };
+    // Commute commutative nodes and rotate same-op chains at random.
+    const std::function<TreePtr(const TreePtr &)> shuffle =
+        [&](const TreePtr &t) {
+            if (t->input >= 0)
+                return t;
+            TreePtr l = shuffle(t->l), r = shuffle(t->r);
+            if (commutative(t->op) && rng.nextBelow(2) == 0)
+                std::swap(l, r);
+            if (associative(t->op) && rng.nextBelow(2) == 0) {
+                if (l->input < 0 && l->op == t->op) // (x.y).r -> x.(y.r)
+                    return node(t->op, l->l, node(t->op, l->r, r));
+                if (r->input < 0 && r->op == t->op) // l.(x.y) -> (l.x).y
+                    return node(t->op, node(t->op, l, r->l), r->r);
+            }
+            return node(t->op, l, r);
+        };
+    // Replace leaf number `target` (in-order) with another input.
+    const std::function<TreePtr(const TreePtr &, int &)> perturb =
+        [&](const TreePtr &t, int &target) {
+            if (t->input >= 0) {
+                if (target-- != 0)
+                    return t;
+                return leaf((t->input + 1 +
+                             static_cast<int>(rng.nextBelow(inputs - 1))) %
+                            inputs);
+            }
+            TreePtr l = perturb(t->l, target);
+            TreePtr r = perturb(t->r, target);
+            return node(t->op, l, r);
+        };
+    const std::function<int(const Tree &)> leaves = [&](const Tree &t) {
+        return t.input >= 0 ? 1 : leaves(*t.l) + leaves(*t.r);
+    };
+
+    int pairs = 0, structural = 0, differing = 0;
+    for (int trial = 0; trial < 1000; ++trial) {
+        const int w = 2 + static_cast<int>(rng.nextBelow(5)); // 2..6
+        inputs = w <= 3 ? 3 : 2;                               // <= 12 bits
+        const TreePtr lhs = chain(3 + static_cast<int>(rng.nextBelow(2)),
+                                  BVBinOp::Sub);
+        const TreePtr copy = shuffle(lhs);
+        int target = static_cast<int>(rng.nextBelow(leaves(*copy)));
+        const TreePtr wrong = perturb(copy, target);
+        const sym::EqBudget budget;
+
+        ASSERT_TRUE(exhaustivelyEqual(*lhs, *copy, w, inputs)) << trial;
+        const sym::EqResult same = sym::checkEquiv(
+            funFromTree(lhs, w, inputs), funFromTree(copy, w, inputs), budget);
+        ASSERT_EQ(same.verdict, sym::Verdict::Proved)
+            << trial << ": " << same.method << " " << same.reason;
+        structural += same.method == "structural";
+
+        const bool differs = !exhaustivelyEqual(*lhs, *wrong, w, inputs);
+        const sym::EqResult r = sym::checkEquiv(
+            funFromTree(lhs, w, inputs), funFromTree(wrong, w, inputs), budget);
+        if (differs) {
+            ++differing;
+            ASSERT_EQ(r.verdict, sym::Verdict::Refuted)
+                << trial << ": " << r.method << " " << r.reason;
+            EXPECT_NE(evalTreeConcrete(*lhs, r.model),
+                      evalTreeConcrete(*wrong, r.model))
+                << trial;
+        } else {
+            ASSERT_EQ(r.verdict, sym::Verdict::Proved)
+                << trial << ": " << r.method << " " << r.reason;
+        }
+        pairs += 2;
+    }
+    EXPECT_GE(pairs, 2000);
+    // Canonical order, not the SAT core, proves the shuffled copies.
+    // A few may not: at 2 bits distinct subterms can hash to the same
+    // literals, so a shuffle may change which leaves a term records.
+    EXPECT_GE(structural, 990);
+    // Perturbations must mostly change the function to mean anything.
+    EXPECT_GT(differing, 500);
 }
 
 /** ult(urem(x, 5), 6) over any domain: a range fact that bitwise

@@ -2,8 +2,8 @@
  * @file
  * Shared CLI handling for the benchmark binaries.
  *
- * `--trace-out out.json` (TraceCli) enables the observability layer
- * for the run and, on finish(), writes
+ * `--trace-out out.json` enables tracing and metrics for the run and,
+ * on finish(), writes
  *
  *   out.json               Chrome trace_event JSON (chrome://tracing
  *                          or https://ui.perfetto.dev)
@@ -14,13 +14,13 @@
  * variables (see docs/observability.md) work for any binary without
  * this flag; the flag is a convenience for explicit output paths.
  *
- * BenchCli adds the continuous-benchmarking flags every bench binary
- * supports (see docs/benchmarking.md):
+ * The continuous-benchmarking flags every bench binary supports (see
+ * docs/benchmarking.md):
  *
  *   --json-out <file>  write a schema-versioned BenchReport: the
- *                      entries record()ed by the harness, the phase
- *                      profile of the run's trace, and the metrics
- *                      snapshot (hydride-bench merges these into the
+ *                      entries record()ed by the harness, the run's
+ *                      phase profile, and the metrics snapshot
+ *                      (hydride-bench merges these into the
  *                      committed BENCH_<n>.json trajectory)
  *   --smoke            reduced workload (fewer kernels / one target);
  *                      marked in the report — smoke numbers never
@@ -39,68 +39,32 @@
 #include <vector>
 
 #include "observability/bench/bench_report.h"
-#include "observability/bench/phase_profiler.h"
 #include "observability/metrics.h"
+#include "observability/phases.h"
 #include "observability/trace.h"
 #include "support/timing.h"
 
 namespace hydride {
 namespace bench {
 
-class TraceCli
-{
-  public:
-    /** Scan argv for --trace-out; enables tracing+metrics if found. */
-    void
-    parse(int argc, char **argv)
-    {
-        for (int i = 1; i < argc; ++i) {
-            if (std::strcmp(argv[i], "--trace-out") == 0 &&
-                i + 1 < argc) {
-                path_ = argv[++i];
-                trace::setEnabled(true);
-                metrics::setEnabled(true);
-            }
-        }
-    }
-
-    bool enabled() const { return !path_.empty(); }
-
-    /** Dump the trace and metrics artifacts (no-op without the flag). */
-    void
-    finish() const
-    {
-        if (path_.empty())
-            return;
-        const std::string metrics_path = path_ + ".metrics.json";
-        const bool trace_ok = trace::writeChromeJson(path_);
-        const bool metrics_ok = metrics::writeJson(metrics_path);
-        std::cerr << "trace: " << (trace_ok ? path_ : "<write failed>")
-                  << "\nmetrics: "
-                  << (metrics_ok ? metrics_path : "<write failed>")
-                  << "\n";
-    }
-
-  private:
-    std::string path_;
-};
-
-/** TraceCli plus the BenchReport flags (--json-out, --smoke,
- *  --profile). One instance per bench main(); parse() first,
- *  record() the measurements, finish() last. */
+/** The bench flags (--trace-out, --json-out, --smoke, --profile).
+ *  One instance per bench main(); parse() first, record() the
+ *  measurements, finish() last. */
 class BenchCli
 {
   public:
-    /** Scan argv; --json-out and --profile both enable tracing and
-     *  metrics so the phase profile and histogram summaries have
-     *  data to report. */
+    /** Scan argv; --json-out and --profile enable metrics, which
+     *  feed the phase profile and the histogram summaries. Tracing
+     *  stays off unless --trace-out or HYDRIDE_TRACE asks for it. */
     void
     parse(int argc, char **argv)
     {
-        trace_.parse(argc, argv);
         suite_ = basename(argv[0]);
         for (int i = 1; i < argc; ++i) {
-            if (std::strcmp(argv[i], "--json-out") == 0 && i + 1 < argc) {
+            if (std::strcmp(argv[i], "--trace-out") == 0 && i + 1 < argc) {
+                trace_path_ = argv[++i];
+            } else if (std::strcmp(argv[i], "--json-out") == 0 &&
+                       i + 1 < argc) {
                 json_path_ = argv[++i];
             } else if (std::strcmp(argv[i], "--smoke") == 0) {
                 smoke_ = true;
@@ -108,14 +72,13 @@ class BenchCli
                 profile_ = true;
             }
         }
-        if (!json_path_.empty() || profile_) {
+        if (!trace_path_.empty())
             trace::setEnabled(true);
+        if (!trace_path_.empty() || !json_path_.empty() || profile_)
             metrics::setEnabled(true);
-        }
     }
 
     bool smoke() const { return smoke_; }
-    const std::string &suite() const { return suite_; }
 
     /** First `cap` elements under --smoke, all of them otherwise. */
     template <class Vec>
@@ -159,13 +122,22 @@ class BenchCli
     void
     finish()
     {
-        trace_.finish();
+        if (!trace_path_.empty()) {
+            const std::string metrics_path = trace_path_ + ".metrics.json";
+            const bool trace_ok = trace::writeChromeJson(trace_path_);
+            const bool metrics_ok = metrics::writeJson(metrics_path);
+            std::cerr << "trace: "
+                      << (trace_ok ? trace_path_ : "<write failed>")
+                      << "\nmetrics: "
+                      << (metrics_ok ? metrics_path : "<write failed>")
+                      << "\n";
+        }
         if (json_path_.empty() && !profile_)
             return;
         record("total_ms", run_watch_.millis(), 1, cpuTimeMs());
-        const PhaseProfile profile = profileCurrentTrace();
+        const phases::PhaseProfile profile = phases::profile();
         if (profile_)
-            std::cout << "\n" << formatProfile(profile);
+            std::cout << "\n" << phases::formatProfile(profile);
         if (json_path_.empty())
             return;
         BenchReport report;
@@ -194,8 +166,8 @@ class BenchCli
         return slash == std::string::npos ? s : s.substr(slash + 1);
     }
 
-    TraceCli trace_;
     std::string suite_;
+    std::string trace_path_;
     std::string json_path_;
     bool smoke_ = false;
     bool profile_ = false;

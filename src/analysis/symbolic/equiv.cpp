@@ -1,13 +1,11 @@
 #include "analysis/symbolic/equiv.h"
 
 #include "analysis/symbolic/sat.h"
-#include "observability/bench/phase_profiler.h"
 #include "observability/metrics.h"
-#include "observability/trace.h"
+#include "observability/phases.h"
 #include "support/error.h"
 #include "support/faults.h"
 #include "support/rng.h"
-#include "support/timing.h"
 
 #include <algorithm>
 #include <chrono>
@@ -274,13 +272,9 @@ checkEquiv(const BVFun &a, const BVFun &b, const EqBudget &budget)
     SatSolver solver;
     SatResult sat;
     {
-        trace::TraceSpan sat_span(bench::kSpanSat);
-        static metrics::Histogram &sat_ms = metrics::histogram(
-            "symbolic.sat.time_ms", metrics::logTimeMsBounds());
-        Stopwatch sat_watch;
+        phases::Scope sat_span(phases::Phase::Sat);
         cnfFromAig(aig, miter, solver);
         sat = solver.solve(budget.max_conflicts);
-        sat_ms.observe(sat_watch.millis());
         sat_span.setAttr("conflicts", sat.conflicts);
     }
     result.conflicts = sat.conflicts;

@@ -1,10 +1,7 @@
 #include "analysis/symbolic/ir_equiv.h"
 
-#include "observability/bench/phase_profiler.h"
-#include "observability/metrics.h"
-#include "observability/trace.h"
+#include "observability/phases.h"
 #include "support/error.h"
-#include "support/timing.h"
 
 namespace hydride {
 namespace sym {
@@ -412,14 +409,10 @@ EqResult
 checkModuleEquiv(const AutoLLVMDict &dict, const AutoModule &module,
                  const HExprPtr &window, const EqBudget &budget)
 {
-    trace::TraceSpan span(bench::kSpanSymbolic);
-    static metrics::Histogram &equiv_ms = metrics::histogram(
-        "symbolic.equiv.time_ms", metrics::logTimeMsBounds());
-    Stopwatch watch;
+    phases::Scope span(phases::Phase::Symbolic);
     EqResult result = checkEquiv(
         moduleFun(dict, module), windowFun(window, module.input_widths),
         budget);
-    equiv_ms.observe(watch.millis());
     span.setAttr("verdict", verdictName(result.verdict));
     span.setAttr("method", result.method);
     return result;

@@ -5,6 +5,7 @@
 #include "observability/journal/journal.h"
 #include "observability/log.h"
 #include "observability/metrics.h"
+#include "observability/phases.h"
 #include "observability/trace.h"
 #include "support/error.h"
 #include "support/faults.h"
@@ -398,7 +399,7 @@ ResilientCompiler::compileWindow(const HExprPtr &window)
     out.window = window;
     Stopwatch watch;
     CpuStopwatch cpu;
-    trace::TraceSpan span("driver.resilience.window");
+    phases::WindowScope span("driver.resilience.window");
     span.setAttr("isa", isa_);
     metrics::counter("resilience.windows").add();
 

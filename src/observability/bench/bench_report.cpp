@@ -15,39 +15,36 @@ const char *const kSchemaId = "hydride-bench/v1";
 
 namespace {
 
+/** The JSON `phases` keys after `windows`, in report order. */
+const std::pair<const char *, double phases::PhaseTotals::*> kPhaseFields[] = {
+    {"total_ms", &phases::PhaseTotals::total_ms},
+    {"enumeration_ms", &phases::PhaseTotals::enumeration_ms},
+    {"concrete_eval_ms", &phases::PhaseTotals::concrete_eval_ms},
+    {"symbolic_ms", &phases::PhaseTotals::symbolic_ms},
+    {"sat_ms", &phases::PhaseTotals::sat_ms},
+    {"cache_lookup_ms", &phases::PhaseTotals::cache_lookup_ms},
+    {"other_ms", &phases::PhaseTotals::other_ms},
+};
+
 bjson::ValuePtr
-phasesToJson(const PhaseTotals &phases)
+phasesToJson(const phases::PhaseTotals &totals)
 {
     auto obj = bjson::Value::makeObject();
     obj->set("windows", bjson::Value::makeNumber(
-                            static_cast<double>(phases.windows)));
-    obj->set("total_ms", bjson::Value::makeNumber(phases.total_ms));
-    obj->set("enumeration_ms",
-             bjson::Value::makeNumber(phases.enumeration_ms));
-    obj->set("concrete_eval_ms",
-             bjson::Value::makeNumber(phases.concrete_eval_ms));
-    obj->set("symbolic_ms", bjson::Value::makeNumber(phases.symbolic_ms));
-    obj->set("sat_ms", bjson::Value::makeNumber(phases.sat_ms));
-    obj->set("cache_lookup_ms",
-             bjson::Value::makeNumber(phases.cache_lookup_ms));
-    obj->set("other_ms", bjson::Value::makeNumber(phases.other_ms));
+                            static_cast<double>(totals.windows)));
+    for (const auto &[key, field] : kPhaseFields)
+        obj->set(key, bjson::Value::makeNumber(totals.*field));
     return obj;
 }
 
-PhaseTotals
+phases::PhaseTotals
 phasesFromJson(const bjson::Value &obj)
 {
-    PhaseTotals phases;
-    phases.windows =
-        static_cast<uint64_t>(obj.getNumber("windows", 0.0));
-    phases.total_ms = obj.getNumber("total_ms", 0.0);
-    phases.enumeration_ms = obj.getNumber("enumeration_ms", 0.0);
-    phases.concrete_eval_ms = obj.getNumber("concrete_eval_ms", 0.0);
-    phases.symbolic_ms = obj.getNumber("symbolic_ms", 0.0);
-    phases.sat_ms = obj.getNumber("sat_ms", 0.0);
-    phases.cache_lookup_ms = obj.getNumber("cache_lookup_ms", 0.0);
-    phases.other_ms = obj.getNumber("other_ms", 0.0);
-    return phases;
+    phases::PhaseTotals totals;
+    totals.windows = static_cast<uint64_t>(obj.getNumber("windows", 0.0));
+    for (const auto &[key, field] : kPhaseFields)
+        totals.*field = obj.getNumber(key, 0.0);
+    return totals;
 }
 
 bjson::ValuePtr
@@ -311,21 +308,13 @@ SuiteReport::fromJson(const std::string &text, SuiteReport &out,
     return true;
 }
 
-PhaseTotals
+phases::PhaseTotals
 SuiteReport::aggregatePhases() const
 {
-    PhaseTotals agg;
+    phases::PhaseTotals agg;
     for (const BenchReport &report : suites) {
-        if (!report.has_phases)
-            continue;
-        agg.enumeration_ms += report.phases.enumeration_ms;
-        agg.concrete_eval_ms += report.phases.concrete_eval_ms;
-        agg.symbolic_ms += report.phases.symbolic_ms;
-        agg.sat_ms += report.phases.sat_ms;
-        agg.cache_lookup_ms += report.phases.cache_lookup_ms;
-        agg.other_ms += report.phases.other_ms;
-        agg.total_ms += report.phases.total_ms;
-        agg.windows += report.phases.windows;
+        if (report.has_phases)
+            agg.add(report.phases);
     }
     return agg;
 }

@@ -7,7 +7,7 @@
  * JSON with per-benchmark wall/CPU time and iteration counts, the
  * metrics-registry snapshot (counters, gauges, histogram summaries
  * with p50/p90/p99), and the per-phase synthesis profile
- * (phase_profiler.h). `hydride-bench` merges the per-binary reports
+ * (observability/phases.h). `hydride-bench` merges the per-binary reports
  * into one `SuiteReport` — the committed `BENCH_<n>.json` files at
  * the repository root — and `compareReports` is the perf-regression
  * gate that diffs a run against the committed baseline.
@@ -21,8 +21,8 @@
 #include <string>
 #include <vector>
 
-#include "observability/bench/phase_profiler.h"
 #include "observability/metrics.h"
+#include "observability/phases.h"
 
 namespace hydride {
 namespace bench {
@@ -80,7 +80,7 @@ struct BenchReport
                         ///< against full-run numbers).
     std::vector<BenchEntry> benchmarks;
     bool has_phases = false;
-    PhaseTotals phases;
+    phases::PhaseTotals phases;
     MetricsSummary metrics;
 
     std::string toJson(bool pretty = true) const;
@@ -101,7 +101,7 @@ struct SuiteReport
                          std::string &error);
 
     /** Aggregate phase totals across all member reports. */
-    PhaseTotals aggregatePhases() const;
+    phases::PhaseTotals aggregatePhases() const;
 };
 
 // ---- Regression gate -------------------------------------------------------

@@ -340,33 +340,6 @@ exportJson()
     return os.str();
 }
 
-std::string
-exportText()
-{
-    const Snapshot snap = snapshot();
-    std::ostringstream os;
-    for (const auto &[name, value] : snap.counters)
-        os << "counter  " << name << " = " << value << "\n";
-    for (const auto &[name, value] : snap.gauges)
-        os << "gauge    " << name << " = " << value << "\n";
-    for (const Snapshot::Hist &hist : snap.histograms) {
-        os << "histogram " << hist.name << ": count=" << hist.count
-           << " sum=" << hist.sum << " min=" << hist.min
-           << " max=" << hist.max << "\n";
-        for (size_t b = 0; b < hist.buckets.size(); ++b) {
-            if (hist.buckets[b] == 0)
-                continue;
-            os << "    le ";
-            if (b < hist.bounds.size())
-                os << hist.bounds[b];
-            else
-                os << "+inf";
-            os << ": " << hist.buckets[b] << "\n";
-        }
-    }
-    return os.str();
-}
-
 bool
 writeJson(const std::string &path)
 {
@@ -375,19 +348,6 @@ writeJson(const std::string &path)
         return false;
     out << exportJson() << "\n";
     return static_cast<bool>(out);
-}
-
-void
-resetValues()
-{
-    Registry &reg = registry();
-    std::lock_guard<std::mutex> lock(reg.mutex);
-    for (auto &[name, c] : reg.counters)
-        c->reset();
-    for (auto &[name, g] : reg.gauges)
-        g->reset();
-    for (auto &[name, h] : reg.histograms)
-        h->reset();
 }
 
 void

@@ -141,7 +141,7 @@ const std::vector<double> &logTimeMsBounds();
 // ---- Registry --------------------------------------------------------------
 
 /** Find-or-create by name. References stay valid for the process
- *  lifetime (resetValues() zeroes them but never removes them). */
+ *  lifetime: instruments are never removed. */
 Counter &counter(const std::string &name);
 Gauge &gauge(const std::string &name);
 Histogram &histogram(const std::string &name,
@@ -180,14 +180,8 @@ Snapshot snapshot();
 /** Snapshot as JSON: {"counters":{...},"gauges":{...},"histograms":{...}}. */
 std::string exportJson();
 
-/** Snapshot as aligned human-readable text. */
-std::string exportText();
-
 /** Write exportJson() to `path`; false on IO error. */
 bool writeJson(const std::string &path);
-
-/** Zero every instrument, keeping registrations (and references). */
-void resetValues();
 
 /** (Re)read HYDRIDE_METRICS and apply it. Runs automatically before
  *  main(); callable again from tests. */

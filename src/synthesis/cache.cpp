@@ -1,8 +1,7 @@
 #include "synthesis/cache.h"
 
-#include "observability/bench/phase_profiler.h"
 #include "observability/metrics.h"
-#include "observability/trace.h"
+#include "observability/phases.h"
 #include "support/strings.h"
 
 #include <sstream>
@@ -12,7 +11,7 @@ namespace hydride {
 const SynthesisResult *
 SynthesisCache::lookup(const HExprPtr &window, const std::string &isa)
 {
-    trace::TraceSpan span(bench::kSpanCacheLookup);
+    phases::Scope span(phases::Phase::CacheLookup);
     const Key key{HExpr::hashOf(window), isa};
     auto it = entries_.find(key);
     span.setAttr("hit", it != entries_.end());

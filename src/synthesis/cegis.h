@@ -44,16 +44,13 @@ struct SynthesisOptions
     bool lanewise = true;
     int max_insts = 3;      ///< Maximum output sequence length.
     int window_depth = 5;   ///< Max expression depth per window (§4.2).
-    int max_bank = 3000;    ///< Value-bank size cap.
     int max_combos = 4000;  ///< Operand-combination cap per op/depth.
     /** Random vectors per verification. 0 disables random sampling
      *  (including the seed counterexamples) so the loop is driven
      *  purely by symbolic counterexamples — only meaningful together
      *  with `symbolic_verify`. */
     int verify_vectors = 10;
-    int cegis_rounds = 10;   ///< Counterexample iterations.
     double timeout_seconds = 20.0;
-    uint64_t seed = 0xC0DE;
     /**
      * Re-validate candidates symbolically (the paper's SMT
      * verification): a candidate that survives the random vectors is

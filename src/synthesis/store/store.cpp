@@ -23,6 +23,9 @@ namespace hydride {
 
 namespace {
 
+/** Pause between lock attempts. */
+constexpr useconds_t kLockBackoffUs = 2000;
+
 /** FNV-1a step used by the signature feature hash. */
 uint64_t
 mixFeature(uint64_t h, uint64_t value)
@@ -202,7 +205,7 @@ SynthesisStore::acquireLock(const std::string &base, std::string &why)
                          {{"owner_pid", static_cast<double>(pid)}});
             continue;
         }
-        ::usleep(static_cast<useconds_t>(options_.lock_backoff_us));
+        ::usleep(kLockBackoffUs);
     }
     why = "lock wait exhausted";
     metrics::counter("store.lock.failures").add();

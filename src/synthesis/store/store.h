@@ -2,11 +2,11 @@
  * @file
  * The durable, multi-process, content-addressed synthesis store.
  *
- * `SynthesisCache` (synthesis/cache.h) memoizes within one process
- * and persists as a single atomically-replaced file. This store is
- * its compile-farm generalization (paper §4.1's memoization, shared
- * across a fleet of workers — ROADMAP "persistent, content-addressed
- * synthesis cache with warm-start"):
+ * `SynthesisCache` (synthesis/cache.h) memoizes within one process,
+ * in memory only. This store is its durable, compile-farm
+ * generalization and the one persistence path (paper §4.1's
+ * memoization, shared across a fleet of workers — ROADMAP
+ * "persistent, content-addressed synthesis cache with warm-start"):
  *
  *  - **Content-addressed shards.** Records are keyed by the window's
  *    structural hash (`HExpr::hashOf`) + target ISA and land in
@@ -89,9 +89,8 @@ class SynthesisStore
         /** A held lock older than this is presumed abandoned even
          *  when its pid is unreadable/alive-looking (PID reuse). */
         double stale_lock_age_seconds = 30.0;
-        /** Bounded lock wait: attempts x backoff_us. */
+        /** Bounded lock wait: attempts x a fixed 2 ms backoff. */
         int lock_attempts = 200;
-        int lock_backoff_us = 2000;
         /** Rename an incompatible (wrong-fingerprint) store aside and
          *  re-initialize instead of refusing to open. */
         bool quarantine_incompatible = true;

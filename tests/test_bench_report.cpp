@@ -3,7 +3,7 @@
  * Tests for the continuous-benchmarking subsystem
  * (docs/benchmarking.md): the bjson round-tripping JSON layer, the
  * histogram quantile estimator and log-scale bounds, the BenchReport
- * / SuiteReport schema round-trip, the exclusive per-phase profiler
+ * / SuiteReport schema round-trip, the exclusive per-phase accounting
  * (the `phaseSum() == total_ms` invariant), and the perf-regression
  * gate `compareReports` — including the smoke/full refusal and the
  * `scale_baseline` knob the WILL_FAIL ctest entry relies on.
@@ -14,11 +14,12 @@
 
 #include "observability/bench/bench_report.h"
 #include "observability/bench/json.h"
-#include "observability/bench/phase_profiler.h"
 #include "observability/metrics.h"
+#include "observability/phases.h"
 
 using namespace hydride;
 using namespace hydride::bench;
+using phases::PhaseTotals;
 
 // ---- bjson -----------------------------------------------------------------
 
@@ -292,17 +293,25 @@ TEST(BenchReportRoundTrip, SuiteReportMergesAndAggregates)
 
 namespace {
 
-trace::SpanRecord
-span(const char *name, uint64_t start_ms, uint64_t dur_ms, int depth,
-     uint64_t thread = 0)
+using phases::Accumulator;
+using phases::Phase;
+using phases::PhaseProfile;
+
+const char *const kDriverWindow = "driver.resilience.window";
+const char *const kCegisWindow = "synthesis.cegis.window";
+
+uint64_t
+ms(uint64_t millis)
 {
-    trace::SpanRecord record;
-    record.name = name;
-    record.thread_id = thread;
-    record.depth = depth;
-    record.start_ns = start_ms * 1'000'000;
-    record.duration_ns = dur_ms * 1'000'000;
-    return record;
+    return millis * 1'000'000;
+}
+
+/** Feed `acc` one phase [start, start + dur) (in ms). */
+void
+phase(Accumulator &acc, Phase which, uint64_t start, uint64_t dur)
+{
+    acc.enterPhase(which, ms(start));
+    acc.exitPhase(ms(start + dur));
 }
 
 } // namespace
@@ -312,13 +321,14 @@ TEST(PhaseProfiler, AttributesExclusivelyAndSumsToWindowTotal)
     // window [0, 100): enumerate [10, 30), symbolic [40, 80) with a
     // SAT solve [50, 70) nested inside it. Exclusive attribution:
     // symbolic keeps only its 20 ms outside the solve.
-    std::vector<trace::SpanRecord> spans = {
-        span(kSpanWindowCegis, 0, 100, 0),
-        span(kSpanEnumerate, 10, 20, 1),
-        span(kSpanSymbolic, 40, 40, 1),
-        span(kSpanSat, 50, 20, 2),
-    };
-    const PhaseProfile profile = profilePhases(spans);
+    PhaseProfile profile;
+    Accumulator acc(profile);
+    acc.enterWindow(kCegisWindow, ms(0));
+    phase(acc, Phase::Enumeration, 10, 20);
+    acc.enterPhase(Phase::Symbolic, ms(40));
+    phase(acc, Phase::Sat, 50, 20);
+    acc.exitPhase(ms(80));
+    acc.exitWindow(ms(100));
     ASSERT_EQ(profile.windows.size(), 1u);
     const PhaseTotals &t = profile.windows[0].totals;
     EXPECT_NEAR(t.enumeration_ms, 20.0, 1e-9);
@@ -336,14 +346,15 @@ TEST(PhaseProfiler, NestedWindowContainersAreTransparent)
 {
     // The driver wraps cegis.window in resilience.window; only the
     // outermost container may count, else time doubles.
-    std::vector<trace::SpanRecord> spans = {
-        span(kSpanWindowDriver, 0, 100, 0),
-        span(kSpanWindowCegis, 5, 90, 1),
-        span(kSpanEnumerate, 10, 30, 2),
-    };
-    const PhaseProfile profile = profilePhases(spans);
+    PhaseProfile profile;
+    Accumulator acc(profile);
+    acc.enterWindow(kDriverWindow, ms(0));
+    acc.enterWindow(kCegisWindow, ms(5));
+    phase(acc, Phase::Enumeration, 10, 30);
+    acc.exitWindow(ms(95));
+    acc.exitWindow(ms(100));
     ASSERT_EQ(profile.windows.size(), 1u);
-    EXPECT_EQ(profile.windows[0].container, kSpanWindowDriver);
+    EXPECT_EQ(profile.windows[0].container, kDriverWindow);
     EXPECT_NEAR(profile.aggregate.total_ms, 100.0, 1e-9);
     EXPECT_NEAR(profile.aggregate.enumeration_ms, 30.0, 1e-9);
     EXPECT_EQ(profile.aggregate.windows, 1u);
@@ -351,17 +362,21 @@ TEST(PhaseProfiler, NestedWindowContainersAreTransparent)
 
 TEST(PhaseProfiler, IgnoresPhaseWorkOutsideWindowsAndSplitsThreads)
 {
-    std::vector<trace::SpanRecord> spans = {
-        // Thread 0: a symbolic check with no enclosing window
-        // (hydride-verify's equivalence passes look like this).
-        span(kSpanSymbolic, 0, 50, 0, /*thread=*/0),
-        // Thread 1 and 2: one window each.
-        span(kSpanWindowCegis, 0, 40, 0, 1),
-        span(kSpanEnumerate, 0, 10, 1, 1),
-        span(kSpanWindowCegis, 0, 60, 0, 2),
-        span(kSpanConcreteEval, 20, 30, 1, 2),
-    };
-    const PhaseProfile profile = profilePhases(spans);
+    // One accumulator per thread, all merging into one profile.
+    PhaseProfile profile;
+    Accumulator thread0(profile);
+    Accumulator thread1(profile);
+    Accumulator thread2(profile);
+    // Thread 0: a symbolic check with no enclosing window
+    // (hydride-verify's equivalence passes look like this).
+    phase(thread0, Phase::Symbolic, 0, 50);
+    // Thread 1 and 2: one window each, interleaved in time.
+    thread1.enterWindow(kCegisWindow, ms(0));
+    thread2.enterWindow(kCegisWindow, ms(0));
+    phase(thread1, Phase::Enumeration, 0, 10);
+    phase(thread2, Phase::ConcreteEval, 20, 30);
+    thread1.exitWindow(ms(40));
+    thread2.exitWindow(ms(60));
     EXPECT_EQ(profile.aggregate.windows, 2u);
     EXPECT_NEAR(profile.aggregate.total_ms, 100.0, 1e-9);
     EXPECT_NEAR(profile.aggregate.symbolic_ms, 0.0, 1e-9);
@@ -373,20 +388,21 @@ TEST(PhaseProfiler, IgnoresPhaseWorkOutsideWindowsAndSplitsThreads)
 
 TEST(PhaseProfiler, SequentialWindowsEachGetTheirOwnBreakdown)
 {
-    std::vector<trace::SpanRecord> spans = {
-        span(kSpanWindowCegis, 0, 50, 0),
-        span(kSpanEnumerate, 0, 50, 1),
-        span(kSpanWindowCegis, 100, 30, 0),
-        span(kSpanCacheLookup, 100, 5, 1),
-    };
-    const PhaseProfile profile = profilePhases(spans);
+    PhaseProfile profile;
+    Accumulator acc(profile);
+    acc.enterWindow(kCegisWindow, ms(0));
+    phase(acc, Phase::Enumeration, 0, 50);
+    acc.exitWindow(ms(50));
+    acc.enterWindow(kCegisWindow, ms(100));
+    phase(acc, Phase::CacheLookup, 100, 5);
+    acc.exitWindow(ms(130));
     ASSERT_EQ(profile.windows.size(), 2u);
     EXPECT_NEAR(profile.windows[0].totals.enumeration_ms, 50.0, 1e-9);
     EXPECT_NEAR(profile.windows[0].totals.other_ms, 0.0, 1e-9);
     EXPECT_NEAR(profile.windows[1].totals.cache_lookup_ms, 5.0, 1e-9);
     EXPECT_NEAR(profile.windows[1].totals.other_ms, 25.0, 1e-9);
     // formatProfile renders without crashing and mentions the phases.
-    const std::string text = formatProfile(profile, 2);
+    const std::string text = phases::formatProfile(profile, 2);
     EXPECT_NE(text.find("enumeration"), std::string::npos);
     EXPECT_NE(text.find("slowest windows"), std::string::npos);
 }

@@ -12,6 +12,7 @@
 #include "driver/resilience.h"
 #include "support/rng.h"
 #include "observability/metrics.h"
+#include "observability/phases.h"
 #include "observability/trace.h"
 #include "support/faults.h"
 #include "support/timing.h"
@@ -345,6 +346,36 @@ TEST(Resilience, WholeKernelCompilesThroughTheLadder)
     EXPECT_EQ(compiled.failed_windows, 0);
     EXPECT_GT(compiled.degraded_windows, 0);
     EXPECT_GT(compiled.staticCost(), 0);
+}
+
+TEST(Resilience, PhaseAccountingNeedsMetricsButNoTracing)
+{
+    // Every compiled piece is one driver window; its phase buckets
+    // must sum to its total with tracing off, and no span is kept.
+    FaultGuard guard;
+    MetricsOn metrics_on;
+    trace::setEnabled(false);
+    trace::reset();
+    const phases::PhaseProfile before = phases::profile();
+
+    ResilientCompiler compiler(dict(), "x86", 256, fastOptions());
+    const ResilientCompilation compiled =
+        compiler.compile(buildKernel("dilate3x3", Schedule{}));
+    ASSERT_TRUE(compiled.allOk());
+    ASSERT_GT(compiled.pieces.size(), 1u);
+
+    const phases::PhaseProfile after = phases::profile();
+    EXPECT_EQ(after.aggregate.windows - before.aggregate.windows,
+              compiled.pieces.size());
+    ASSERT_EQ(after.windows.size() - before.windows.size(),
+              compiled.pieces.size());
+    for (size_t i = before.windows.size(); i < after.windows.size(); ++i) {
+        const phases::WindowBreakdown &window = after.windows[i];
+        EXPECT_EQ(window.container, "driver.resilience.window");
+        EXPECT_NEAR(window.totals.phaseSum(), window.totals.total_ms, 1e-6);
+    }
+    EXPECT_GT(after.aggregate.enumeration_ms, before.aggregate.enumeration_ms);
+    EXPECT_TRUE(trace::snapshotSpans().empty());
 }
 
 // ---- CEGIS deadline granularity --------------------------------------------

@@ -302,6 +302,27 @@ TEST(Cegis, SymbolicVerifyProvesTheFullWidthWinner)
     EXPECT_EQ(result.symbolic_unknowns, 0);
 }
 
+TEST(Cegis, FailedWarmSeedsStayCountedWhenTheSearchRuns)
+{
+    // A seed solving a different function of the same inputs passes
+    // the width check, fails the vectors, and the window falls through
+    // to the search. Its result must still count the seed.
+    Schedule schedule;
+    schedule.vector_bits = 512;
+    const HExprPtr add = buildKernel("add", schedule).windows[0];
+    const HExprPtr max = hBin(HOp::MaxU, add->kids[0], add->kids[1]);
+    const SynthesisResult neighbor = synthesizeWindow(dict(), "x86", max);
+    ASSERT_TRUE(neighbor.ok) << neighbor.note;
+
+    SynthesisOptions options;
+    options.warm_seeds = {neighbor.module};
+    const SynthesisResult result =
+        synthesizeWindow(dict(), "x86", add, options);
+    ASSERT_TRUE(result.ok) << result.note;
+    EXPECT_FALSE(result.warm_started);
+    EXPECT_EQ(result.warm_seeds_tried, 1);
+}
+
 int
 windowsOnRung(const ResilientCompilation &compiled, Rung rung)
 {

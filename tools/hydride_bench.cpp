@@ -32,7 +32,6 @@
 #include <unistd.h>
 
 #include "observability/bench/bench_report.h"
-#include "observability/bench/phase_profiler.h"
 
 namespace fs = std::filesystem;
 using namespace hydride;
@@ -312,9 +311,9 @@ main(int argc, char **argv)
     }
 
     if (opt.profile) {
-        bench::PhaseProfile profile;
+        phases::PhaseProfile profile;
         profile.aggregate = current.aggregatePhases();
-        std::cout << bench::formatProfile(profile, 0);
+        std::cout << phases::formatProfile(profile, 0);
     }
 
     if (!opt.compare.empty()) {

@@ -2,7 +2,7 @@
 # mode, then structurally validate the merged artifact. Two steps in
 # one test so the artifact checked is the artifact just produced.
 #
-# Expects: BENCH_TOOL, BENCH_DIR, CHECKER, OUT.
+# Expects: BENCH_TOOL, BENCH_DIR, PYTHON, CHECKER, OUT.
 execute_process(
     COMMAND ${BENCH_TOOL} --smoke --bench-dir ${BENCH_DIR} --json-out ${OUT}
     RESULT_VARIABLE rc)
@@ -10,14 +10,9 @@ if(NOT rc EQUAL 0)
     message(FATAL_ERROR "hydride-bench --smoke failed with status ${rc}")
 endif()
 
-find_package(Python3 COMPONENTS Interpreter QUIET)
-if(Python3_Interpreter_FOUND)
-    execute_process(
-        COMMAND ${Python3_EXECUTABLE} ${CHECKER} ${OUT}
-        RESULT_VARIABLE rc)
-    if(NOT rc EQUAL 0)
-        message(FATAL_ERROR "check_bench.py rejected ${OUT} (status ${rc})")
-    endif()
-else()
-    message(STATUS "python3 not found; skipping schema validation")
+execute_process(
+    COMMAND ${PYTHON} ${CHECKER} ${OUT}
+    RESULT_VARIABLE rc)
+if(NOT rc EQUAL 0)
+    message(FATAL_ERROR "check_bench.py rejected ${OUT} (status ${rc})")
 endif()

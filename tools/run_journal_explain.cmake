@@ -5,7 +5,7 @@
 # rank them. The steps share one test so the journal inspected is the
 # journal just produced.
 #
-# Expects: EXAMPLE, INSPECT, CHECKER, JOURNAL.
+# Expects: EXAMPLE, INSPECT, PYTHON, CHECKER, JOURNAL.
 file(REMOVE ${JOURNAL})
 execute_process(
     COMMAND ${CMAKE_COMMAND} -E env HYDRIDE_JOURNAL=${JOURNAL} ${EXAMPLE}
@@ -18,17 +18,11 @@ if(NOT EXISTS ${JOURNAL})
     message(FATAL_ERROR "HYDRIDE_JOURNAL=${JOURNAL} wrote no journal")
 endif()
 
-find_package(Python3 COMPONENTS Interpreter QUIET)
-if(Python3_Interpreter_FOUND)
-    execute_process(
-        COMMAND ${Python3_EXECUTABLE} ${CHECKER} ${JOURNAL}
-        RESULT_VARIABLE rc)
-    if(NOT rc EQUAL 0)
-        message(FATAL_ERROR
-                "check_journal.py rejected ${JOURNAL} (status ${rc})")
-    endif()
-else()
-    message(STATUS "python3 not found; skipping schema validation")
+execute_process(
+    COMMAND ${PYTHON} ${CHECKER} ${JOURNAL}
+    RESULT_VARIABLE rc)
+if(NOT rc EQUAL 0)
+    message(FATAL_ERROR "check_journal.py rejected ${JOURNAL} (status ${rc})")
 endif()
 
 execute_process(

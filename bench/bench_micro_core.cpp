@@ -1,19 +1,21 @@
 /**
  * @file
  * google-benchmark micro-benchmarks for Hydride's core components:
- * bitvector arithmetic, semantics interpretation, pseudocode parsing
- * + canonicalization, constant extraction, similarity grouping, and
- * end-to-end window synthesis. These quantify the substrate costs
- * behind the table/figure harnesses.
+ * bitvector arithmetic, semantics interpretation and its compiled lane
+ * kernel, pseudocode parsing + canonicalization, constant extraction,
+ * similarity grouping, and end-to-end window synthesis. These quantify
+ * the substrate costs behind the table/figure harnesses.
  */
 #include <benchmark/benchmark.h>
 
+#include <cstdlib>
 #include <cstring>
 #include <string>
 #include <vector>
 
 #include "halide/kernels.h"
 #include "hir/canonicalize.h"
+#include "hir/lane_kernel.h"
 #include "similarity/extraction.h"
 #include "specs/spec_db.h"
 #include "specs/x86_manual.h"
@@ -42,7 +44,7 @@ BM_BitVectorAdd(benchmark::State &state)
     for (auto _ : state)
         benchmark::DoNotOptimize(a.add(b));
 }
-BENCHMARK(BM_BitVectorAdd)->Arg(64)->Arg(512)->Arg(2048);
+BENCHMARK(BM_BitVectorAdd)->Arg(64)->Arg(128)->Arg(512)->Arg(2048);
 
 void
 BM_BitVectorMul(benchmark::State &state)
@@ -55,20 +57,44 @@ BM_BitVectorMul(benchmark::State &state)
 }
 BENCHMARK(BM_BitVectorMul)->Arg(64)->Arg(512);
 
+const CanonicalSemantics &
+madd()
+{
+    for (const auto &sem : isaSemantics("x86").insts)
+        if (sem.name == "_mm512_madd_epi16")
+            return sem;
+    std::abort();
+}
+
 void
 BM_SemanticsInterpretation(benchmark::State &state)
 {
-    const CanonicalSemantics *madd = nullptr;
-    for (const auto &sem : isaSemantics("x86").insts)
-        if (sem.name == "_mm512_madd_epi16")
-            madd = &sem;
     Rng rng(3);
     BitVector a = BitVector::random(512, rng);
     BitVector b = BitVector::random(512, rng);
     for (auto _ : state)
-        benchmark::DoNotOptimize(madd->evaluate({a, b}, {}));
+        benchmark::DoNotOptimize(madd().evaluate({a, b}, {}));
 }
 BENCHMARK(BM_SemanticsInterpretation);
+
+/** The same instruction and inputs through its compiled lane kernel,
+ *  the path CEGIS candidate evaluation takes. */
+void
+BM_SemanticsKernel(benchmark::State &state)
+{
+    const auto kernel = LaneKernel::compile(madd(), {}, {});
+    if (!kernel) {
+        state.SkipWithError("_mm512_madd_epi16 did not compile");
+        return;
+    }
+    Rng rng(3);
+    BitVector a = BitVector::random(512, rng);
+    BitVector b = BitVector::random(512, rng);
+    const BitVector *args[] = {&a, &b};
+    for (auto _ : state)
+        benchmark::DoNotOptimize(kernel->evaluate(args));
+}
+BENCHMARK(BM_SemanticsKernel);
 
 void
 BM_ParseAndCanonicalize(benchmark::State &state)

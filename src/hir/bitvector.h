@@ -22,7 +22,6 @@
 
 #include <cstdint>
 #include <string>
-#include <vector>
 
 namespace hydride {
 
@@ -30,6 +29,11 @@ class Rng;
 
 /**
  * A fixed-width two's-complement bitvector with value semantics.
+ *
+ * Values up to kInlineWidth bits (most vector elements and every
+ * scaled-down CEGIS register) live inline, so constructing, copying
+ * and destroying them never touches the heap. Wider values own a heap
+ * array of words.
  */
 class BitVector
 {
@@ -37,8 +41,17 @@ class BitVector
     /** Maximum supported width in bits. */
     static constexpr int kMaxWidth = 4096;
 
+    /** Widest value stored without a heap allocation. */
+    static constexpr int kInlineWidth = 128;
+
     /** An all-zero bitvector of `width` bits. */
     explicit BitVector(int width = 1);
+
+    BitVector(const BitVector &other);
+    BitVector(BitVector &&other) noexcept;
+    BitVector &operator=(const BitVector &other);
+    BitVector &operator=(BitVector &&other) noexcept;
+    ~BitVector();
 
     /** A bitvector of `width` bits holding `value` (zero-extended). */
     static BitVector fromUint(int width, uint64_t value);
@@ -53,6 +66,14 @@ class BitVector
     static BitVector random(int width, Rng &rng);
 
     int width() const { return width_; }
+
+    /**
+     * The value's 64-bit words, least significant first; bits above
+     * width() in the last word are zero. Writers through the mutable
+     * overload must keep them zero.
+     */
+    const uint64_t *data() const { return isInline() ? inline_ : heap_; }
+    uint64_t *data() { return isInline() ? inline_ : heap_; }
 
     /** Bit at position `index` (0 = LSB). */
     bool getBit(int index) const;
@@ -185,11 +206,15 @@ class BitVector
     BitVector popcount() const;
 
   private:
+    bool isInline() const { return width_ <= kInlineWidth; }
+    int words() const { return (width_ + 63) / 64; }
     void clearUnusedBits();
-    static int wordCount(int width) { return (width + 63) / 64; }
 
     int width_;
-    std::vector<uint64_t> words_;
+    union {
+        uint64_t inline_[kInlineWidth / 64];
+        uint64_t *heap_;
+    };
 };
 
 } // namespace hydride

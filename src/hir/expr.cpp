@@ -4,6 +4,8 @@
 #include "support/strings.h"
 
 #include <algorithm>
+#include <mutex>
+#include <unordered_set>
 
 namespace hydride {
 
@@ -107,12 +109,29 @@ applyIntBin(IntBinOp op, int64_t a, int64_t b)
 
 } // namespace
 
+SourceLoc::SourceLoc(const std::string &unit, int line)
+    : line(line)
+{
+    // Interned for the life of the process; the set's nodes never move.
+    static std::unordered_set<std::string> units;
+    static std::mutex units_mutex;
+    std::lock_guard<std::mutex> lock(units_mutex);
+    unit_ = &*units.insert(unit).first;
+}
+
+const std::string &
+SourceLoc::unit() const
+{
+    static const std::string unknown;
+    return unit_ ? *unit_ : unknown;
+}
+
 std::string
 SourceLoc::str() const
 {
     if (!known())
         return {};
-    return unit + ":" + std::to_string(line);
+    return unit() + ":" + std::to_string(line);
 }
 
 void

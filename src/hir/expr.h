@@ -88,12 +88,21 @@ using ExprPtr = std::shared_ptr<const Expr>;
  */
 struct SourceLoc
 {
-    std::string unit; ///< "<dialect>:<instruction>".
-    int line = 0;     ///< 1-based line in the pseudocode; 0 = unknown.
+    SourceLoc() = default;
+    /** Every node of an instruction carries its location, so `unit`
+     *  is interned: the nodes share one copy of the string. */
+    SourceLoc(const std::string &unit, int line);
+
+    int line = 0; ///< 1-based line in the pseudocode; 0 = unknown.
 
     bool known() const { return line > 0; }
+    /** "<dialect>:<instruction>"; empty when none was given. */
+    const std::string &unit() const;
     /** "x86:_mm_add_epi16:3"; empty string when unknown. */
     std::string str() const;
+
+  private:
+    const std::string *unit_ = nullptr;
 };
 
 /**

@@ -9,6 +9,9 @@
  */
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <vector>
+
 #include "analysis/symbolic/bitblast.h"
 #include "hir/bitvector.h"
 #include "hir/expr.h"
@@ -411,6 +414,139 @@ TEST(BitVector, EvalIntDivisionWrapsAtInt64Min)
     EXPECT_EQ(evalInt(intBin(IntBinOp::Mod, intConst(smin), intConst(-1)),
                       {}),
               0);
+}
+
+// ---- Inline/heap storage boundary ------------------------------------------
+
+/** Widths on both sides of the word size and of the 128-bit inline
+ *  bound, two heap widths sharing a word count (130 and 192), and the
+ *  maximum. */
+const int kBoundaryWidths[] = {1, 63, 64, 65, 127, 128, 129, 130, 192, 4096};
+
+/** Bit-by-bit snapshot, independent of the word storage. */
+std::vector<bool>
+bitsOf(const BitVector &value)
+{
+    std::vector<bool> bits;
+    for (int i = 0; i < value.width(); ++i)
+        bits.push_back(value.getBit(i));
+    return bits;
+}
+
+TEST(BitVectorStorage, EveryBitSurvivesAtEveryBoundaryWidth)
+{
+    Rng rng(91);
+    for (int w : kBoundaryWidths) {
+        BitVector value(w);
+        EXPECT_TRUE(value.isZero()) << w;
+        std::vector<bool> expect(w);
+        for (int i = 0; i < w; ++i) {
+            expect[i] = rng.nextBool();
+            value.setBit(i, expect[i]);
+        }
+        EXPECT_EQ(bitsOf(value), expect) << w;
+        EXPECT_EQ(BitVector::allOnes(w).bvnot(), BitVector(w)) << w;
+        EXPECT_EQ(value.popcount().toUint64(),
+                  static_cast<uint64_t>(
+                      std::count(expect.begin(), expect.end(), true)))
+            << w;
+    }
+}
+
+TEST(BitVectorStorage, CopyAndMoveInEveryInlineHeapDirection)
+{
+    Rng rng(92);
+    for (int from : kBoundaryWidths) {
+        for (int to : kBoundaryWidths) {
+            const BitVector source = BitVector::random(from, rng);
+            const std::vector<bool> source_bits = bitsOf(source);
+
+            BitVector copied = BitVector::random(to, rng);
+            copied = source;
+            EXPECT_EQ(copied, source) << from << " -> " << to;
+            EXPECT_EQ(copied.hash(), source.hash());
+            EXPECT_EQ(bitsOf(source), source_bits) << "copy changed source";
+
+            BitVector moved_from = source;
+            BitVector moved = BitVector::random(to, rng);
+            moved = std::move(moved_from);
+            EXPECT_EQ(moved, source) << from << " -> " << to;
+            // A moved-from value stays usable.
+            moved_from = BitVector::random(to, rng);
+            EXPECT_EQ(moved_from.width(), to);
+
+            const BitVector constructed(source);
+            EXPECT_EQ(constructed, source);
+            BitVector donor = source;
+            const BitVector stolen(std::move(donor));
+            EXPECT_EQ(stolen, source);
+            donor = source;
+            EXPECT_EQ(donor, source);
+        }
+        // Self-assignment, through an alias so the compiler cannot see
+        // it.
+        BitVector self = BitVector::random(from, rng);
+        const BitVector snapshot = self;
+        BitVector &alias = self;
+        self = alias;
+        EXPECT_EQ(self, snapshot) << from;
+        self = std::move(alias);
+        EXPECT_EQ(self, snapshot) << from;
+    }
+}
+
+TEST(BitVectorStorage, SliceAtEveryOffsetMatchesBitReference)
+{
+    Rng rng(93);
+    const int counts[] = {1, 2, 31, 63, 64, 65, 127, 128, 129};
+    for (int w : {1, 63, 64, 65, 127, 128, 129, 300}) {
+        const BitVector value = BitVector::random(w, rng);
+        const std::vector<bool> bits = bitsOf(value);
+        for (int low = 0; low < w; ++low) {
+            std::vector<int> sizes(std::begin(counts), std::end(counts));
+            sizes.push_back(w - low);
+            for (int count : sizes) {
+                if (low + count > w)
+                    continue;
+                const BitVector piece = value.extract(low, count);
+                ASSERT_EQ(piece.width(), count);
+                for (int i = 0; i < count; ++i)
+                    ASSERT_EQ(piece.getBit(i), bits[low + i])
+                        << "extract w=" << w << " low=" << low
+                        << " count=" << count << " bit " << i;
+
+                BitVector target = value;
+                const BitVector patch = BitVector::random(count, rng);
+                target.setSlice(low, patch);
+                for (int i = 0; i < w; ++i) {
+                    const bool expect = i >= low && i < low + count
+                                            ? patch.getBit(i - low)
+                                            : bits[i];
+                    ASSERT_EQ(target.getBit(i), expect)
+                        << "setSlice w=" << w << " low=" << low
+                        << " count=" << count << " bit " << i;
+                }
+            }
+        }
+    }
+}
+
+TEST(BitVectorStorage, ConcatAcrossTheInlineBoundMatchesBitReference)
+{
+    Rng rng(94);
+    for (int high_w : kBoundaryWidths) {
+        for (int low_w : kBoundaryWidths) {
+            if (high_w + low_w > BitVector::kMaxWidth)
+                continue;
+            const BitVector high = BitVector::random(high_w, rng);
+            const BitVector low = BitVector::random(low_w, rng);
+            std::vector<bool> expect = bitsOf(low);
+            const std::vector<bool> high_bits = bitsOf(high);
+            expect.insert(expect.end(), high_bits.begin(), high_bits.end());
+            EXPECT_EQ(bitsOf(BitVector::concat(high, low)), expect)
+                << high_w << ":" << low_w;
+        }
+    }
 }
 
 namespace {

@@ -219,6 +219,16 @@ TEST(Expr, PrinterRendersReadably)
     EXPECT_NE(text.find("%i"), std::string::npos);
 }
 
+TEST(Expr, SourceLocationsShareOneCopyOfTheirUnit)
+{
+    const SourceLoc a(std::string("x86:_mm512_madd_epi16"), 3);
+    const SourceLoc b(std::string("x86:_mm512_madd_epi16"), 4);
+    EXPECT_EQ(&a.unit(), &b.unit());
+    EXPECT_EQ(a.str(), "x86:_mm512_madd_epi16:3");
+    EXPECT_EQ(SourceLoc().unit(), "");
+    EXPECT_EQ(SourceLoc().str(), "");
+}
+
 class BVBinOpLaws : public ::testing::TestWithParam<BVBinOp>
 {
 };

@@ -147,6 +147,39 @@ BM_SynthesizeMatmulWindow(benchmark::State &state)
 }
 BENCHMARK(BM_SynthesizeMatmulWindow)->Unit(benchmark::kMillisecond);
 
+/**
+ * A whole CEGIS search that ends "search exhausted": gaussian3x3's row
+ * window on x86, scaled and then unscaled. Nearly every candidate is
+ * rejected, so `per_rejected` (time over rejected candidates) is the
+ * search's per-candidate cost, the number the paper benches cannot
+ * isolate.
+ */
+void
+BM_CegisExhaustedWindow(benchmark::State &state)
+{
+    Schedule schedule;
+    schedule.vector_bits = 512;
+    const HExprPtr window = buildKernel("gaussian3x3", schedule).windows[0];
+    SynthesisOptions options;
+    options.timeout_seconds = 600.0; // The search ends on its own.
+    long rejected = 0;
+    for (auto _ : state) {
+        const SynthesisResult result =
+            synthesizeWindow(dict(), "x86", window, options);
+        if (result.ok || result.note.rfind("search exhausted", 0) != 0) {
+            state.SkipWithError(("not exhausted: " + result.note).c_str());
+            return;
+        }
+        rejected = result.candidates_rejected;
+    }
+    state.counters["rejected"] = static_cast<double>(rejected);
+    state.counters["per_rejected"] = benchmark::Counter(
+        static_cast<double>(rejected),
+        benchmark::Counter::kIsIterationInvariantRate |
+            benchmark::Counter::kInvert);
+}
+BENCHMARK(BM_CegisExhaustedWindow)->Unit(benchmark::kMillisecond);
+
 void
 BM_CacheLookup(benchmark::State &state)
 {

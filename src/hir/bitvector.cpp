@@ -354,6 +354,23 @@ BitVector::extract(int low, int count) const
     return out;
 }
 
+bool
+BitVector::sliceEquals(const BitVector &other, int low, int count) const
+{
+    HYD_ASSERT(low >= 0 && count >= 1 && low + count <= width_ &&
+                   low + count <= other.width_,
+               "sliceEquals slice out of range");
+    const uint64_t *a = data();
+    const uint64_t *b = other.data();
+    for (int pos = low, end = low + count; pos < end;) {
+        const int bits = std::min(64 - pos % 64, end - pos);
+        if ((a[pos / 64] ^ b[pos / 64]) & (lowMask(bits) << (pos % 64)))
+            return false;
+        pos += bits;
+    }
+    return true;
+}
+
 void
 BitVector::setSlice(int low, const BitVector &value)
 {

@@ -116,6 +116,13 @@ class BitVector
     /** Extract `count` bits starting at bit `low`. */
     BitVector extract(int low, int count) const;
 
+    /**
+     * True when bits [low, low+count) of this value and of `other`
+     * are equal: `extract(low, count) == other.extract(low, count)`
+     * without building either slice.
+     */
+    bool sliceEquals(const BitVector &other, int low, int count) const;
+
     /** Copy `value` into bits [low, low+value.width()). */
     void setSlice(int low, const BitVector &value);
 

@@ -15,6 +15,7 @@
 #include "analysis/symbolic/bitblast.h"
 #include "hir/bitvector.h"
 #include "hir/expr.h"
+#include "support/error.h"
 #include "support/rng.h"
 
 namespace hydride {
@@ -529,6 +530,66 @@ TEST(BitVectorStorage, SliceAtEveryOffsetMatchesBitReference)
             }
         }
     }
+}
+
+TEST(BitVectorStorage, SliceEqualsMatchesExtractComparison)
+{
+    // sliceEquals(b, low, n) must answer `extract(low, n) ==
+    // b.extract(low, n)`. Random pairs almost never agree on a slice,
+    // so `b` is `a` with one bit flipped: the slices holding the flip
+    // differ and all others agree. `b` is also taken one word wider
+    // than `a` (up to the maximum width), so the two operands' word
+    // counts differ.
+    Rng rng(95);
+    for (int w : {1, 63, 64, 65, 127, 128, 129, 130, 192, 300, 4096}) {
+        const BitVector a = BitVector::random(w, rng);
+        std::vector<int> flips = {-1, 0, w - 1, w / 2};
+        for (int edge : {63, 64, 127, 128, 191, 192})
+            if (edge < w)
+                flips.push_back(edge);
+        // Every offset up to 300 bits, then a stride that still visits
+        // every bit position within a word.
+        const int stride = w > 300 ? 61 : 1;
+        for (int flip : flips) {
+            for (bool wider : {false, true}) {
+                if (wider && w + 64 > BitVector::kMaxWidth)
+                    continue;
+                BitVector b = wider ? a.zext(w + 64) : a;
+                if (flip >= 0)
+                    b.setBit(flip, !b.getBit(flip));
+                for (int low = 0; low < w; low += stride) {
+                    std::vector<int> counts;
+                    for (int n = 1; n <= 64; ++n)
+                        counts.push_back(n);
+                    for (int n : {65, 127, 128, 129, w - low})
+                        counts.push_back(n);
+                    for (int count : counts) {
+                        if (low + count > w)
+                            continue;
+                        ASSERT_EQ(a.sliceEquals(b, low, count),
+                                  a.extract(low, count) ==
+                                      b.extract(low, count))
+                            << "w=" << w << " flip=" << flip
+                            << " wider=" << wider << " low=" << low
+                            << " count=" << count;
+                        ASSERT_EQ(b.sliceEquals(a, low, count),
+                                  a.sliceEquals(b, low, count));
+                    }
+                }
+            }
+        }
+    }
+}
+
+TEST(BitVectorStorage, SliceEqualsRejectsOutOfRangeSlices)
+{
+    const BitVector narrow(64);
+    const BitVector wide(128);
+    EXPECT_TRUE(wide.sliceEquals(narrow, 0, 64));
+    EXPECT_THROW(wide.sliceEquals(narrow, 1, 64), AssertionError);
+    EXPECT_THROW(narrow.sliceEquals(wide, 64, 1), AssertionError);
+    EXPECT_THROW(narrow.sliceEquals(narrow, 0, 0), AssertionError);
+    EXPECT_THROW(narrow.sliceEquals(narrow, -1, 2), AssertionError);
 }
 
 TEST(BitVectorStorage, ConcatAcrossTheInlineBoundMatchesBitReference)

@@ -386,8 +386,11 @@ TEST(Resilience, CegisDeadlineOvershootIsBounded)
     // checks live inside the candidate-enumeration inner loop, so a
     // tiny budget must end the search promptly instead of finishing
     // an entire enumeration level first. A hard window (wide product
-    // of sums, 3-instruction sequences) would enumerate for many
-    // seconds without the inner-loop checks.
+    // of sums, 3-instruction sequences, a large per-op combination
+    // budget) would enumerate for seconds without the inner-loop
+    // checks. (At the default budget of 4000 combinations the scaled
+    // search now exhausts in well under the deadline, and only the
+    // unscaled retry would meet it.)
     const HExprPtr window =
         hBin(HOp::Mul,
              hBin(HOp::Add, hInput(0, 16, 16), hInput(1, 16, 16)),
@@ -395,6 +398,7 @@ TEST(Resilience, CegisDeadlineOvershootIsBounded)
     SynthesisOptions options;
     options.timeout_seconds = 0.05;
     options.max_insts = 3;
+    options.max_combos = 400000;
     Stopwatch watch;
     SynthesisResult synth = synthesizeWindow(dict(), "x86", window, options);
     const double elapsed = watch.seconds();

@@ -323,6 +323,72 @@ TEST(Cegis, FailedWarmSeedsStayCountedWhenTheSearchRuns)
     EXPECT_EQ(result.warm_seeds_tried, 1);
 }
 
+/** One window with the search's work counters and outcome pinned. */
+struct PinnedSearch
+{
+    const char *isa;
+    const char *kernel;
+    int vector_bits;
+    size_t window;
+    int max_insts;
+    int max_combos;
+    // Expected outcome.
+    int iterations;
+    int counterexamples;
+    long rejected;
+    long rejected_static;
+    const char *note;
+    std::vector<std::string> insts;
+};
+
+TEST(Cegis, SearchWorkCountersArePinned)
+{
+    // The exact counters of four fixed searches. Any change to
+    // enumeration order, dedup, bank admission or the match check
+    // moves at least one of them, so a change meant to make the search
+    // cheaper, not different, must leave them alone. The deadline is
+    // far away: these searches end on their own.
+    const PinnedSearch pinned[] = {
+        // A counterexample round: the first winner fails verification.
+        // Its winner shares its first-counterexample value with a bank
+        // entry, so deduplicating before the match check loses it.
+        {"arm", "max_pool", 128, 0, 3, 4000, 2, 1, 190253, 0, "",
+         {"vmaxq_u8", "vmaxq_u8", "vmaxq_u8"}},
+        // Scaled and unscaled searches both exhaust.
+        {"x86", "gaussian3x3", 512, 0, 3, 4000, 2, 0, 610504, 0,
+         "search exhausted; unscaled retry: search exhausted", {}},
+        // Static pruning rejects solution-width families.
+        {"x86", "mul", 512, 0, 3, 4000, 1, 0, 171988, 285, "",
+         {"_mm512_mulhi_epi16", "_mm512_slli_epi16"}},
+        // Four-operand x86 mask ops, counterexamples, exhaustion.
+        {"x86", "sobel3x3", 256, 2, 2, 200, 4, 2, 24235, 244,
+         "search exhausted; unscaled retry: search exhausted", {}},
+    };
+    for (const PinnedSearch &p : pinned) {
+        SCOPED_TRACE(std::string(p.isa) + " " + p.kernel);
+        Schedule schedule;
+        schedule.vector_bits = p.vector_bits;
+        const HExprPtr window =
+            buildKernel(p.kernel, schedule).windows.at(p.window);
+        SynthesisOptions options;
+        options.max_insts = p.max_insts;
+        options.max_combos = p.max_combos;
+        options.timeout_seconds = 600.0;
+        const SynthesisResult result =
+            synthesizeWindow(dict(), p.isa, window, options);
+        EXPECT_EQ(result.cegis_iterations, p.iterations);
+        EXPECT_EQ(result.counterexamples, p.counterexamples);
+        EXPECT_EQ(result.candidates_rejected, p.rejected);
+        EXPECT_EQ(result.candidates_rejected_static, p.rejected_static);
+        EXPECT_EQ(result.note, p.note);
+        std::vector<std::string> insts;
+        for (const auto &inst : result.module.insts)
+            insts.push_back(inst.op.member(dict()).name);
+        EXPECT_EQ(insts, p.insts);
+        EXPECT_EQ(result.ok, !p.insts.empty());
+    }
+}
+
 int
 windowsOnRung(const ResilientCompilation &compiled, Rung rung)
 {

@@ -3,8 +3,9 @@
  * google-benchmark micro-benchmarks for Hydride's core components:
  * bitvector arithmetic, semantics interpretation and its compiled lane
  * kernel, pseudocode parsing + canonicalization, constant extraction,
- * similarity grouping, and end-to-end window synthesis. These quantify
- * the substrate costs behind the table/figure harnesses.
+ * similarity grouping, end-to-end window synthesis, and the symbolic
+ * re-proof of a store hit. These quantify the substrate costs behind
+ * the table/figure harnesses.
  */
 #include <benchmark/benchmark.h>
 
@@ -13,6 +14,7 @@
 #include <string>
 #include <vector>
 
+#include "analysis/symbolic/ir_equiv.h"
 #include "halide/kernels.h"
 #include "hir/canonicalize.h"
 #include "hir/lane_kernel.h"
@@ -179,6 +181,43 @@ BM_CegisExhaustedWindow(benchmark::State &state)
             benchmark::Counter::kInvert);
 }
 BENCHMARK(BM_CegisExhaustedWindow)->Unit(benchmark::kMillisecond);
+
+/**
+ * The symbolic re-proof a durable-store hit gets: x86 matmul_bias's
+ * window 0 (a 16 x i32 `a + sum b*c` solved by `_mm512_dpwssd_epi32`)
+ * against its synthesized module. Both sides bit-blast to one large
+ * AIG of 32-bit multipliers that hashes to a constant-false miter, so
+ * this times AIG construction, not SAT.
+ */
+void
+BM_StoreReproofDot2Acc(benchmark::State &state)
+{
+    Schedule schedule;
+    schedule.vector_bits = 512;
+    const HExprPtr window = buildKernel("matmul_bias", schedule).windows[0];
+    SynthesisOptions options;
+    options.timeout_seconds = 600.0; // The search ends on its own.
+    const SynthesisResult synth =
+        synthesizeWindow(dict(), "x86", window, options);
+    if (!synth.ok) {
+        state.SkipWithError(("not synthesized: " + synth.note).c_str());
+        return;
+    }
+    sym::EqResult eq;
+    for (auto _ : state) {
+        eq = sym::checkModuleEquiv(dict(), synth.module, window,
+                                   options.symbolic_budget);
+        benchmark::DoNotOptimize(eq);
+        if (eq.verdict != sym::Verdict::Proved || eq.method != "structural") {
+            state.SkipWithError(("not proved structurally: " + eq.method +
+                                 " " + eq.reason)
+                                    .c_str());
+            return;
+        }
+    }
+    state.counters["aig_nodes"] = static_cast<double>(eq.aig_nodes);
+}
+BENCHMARK(BM_StoreReproofDot2Acc)->Unit(benchmark::kMillisecond);
 
 void
 BM_CacheLookup(benchmark::State &state)

@@ -5,11 +5,46 @@
 namespace hydride {
 namespace sym {
 
+namespace {
+
+/** Initial structural-hash slots; the table doubles from here. */
+constexpr int kInitialSlotBits = 10;
+
+} // namespace
+
 Aig::Aig(size_t node_budget)
-    : node_budget_(node_budget)
+    : table_(size_t(1) << kInitialSlotBits, 0),
+      slot_shift_(64 - kInitialSlotBits), node_budget_(node_budget)
 {
     nodes_.push_back({});       // Node 0: constant false.
     input_index_.push_back(-1);
+}
+
+size_t
+Aig::slotOf(Lit a, Lit b) const
+{
+    // Fibonacci hashing: the golden-ratio multiply mixes both operands
+    // into the high bits, which index the table.
+    const uint64_t key = (static_cast<uint64_t>(a) << 32) | b;
+    return static_cast<size_t>((key * 0x9E3779B97F4A7C15ull) >> slot_shift_);
+}
+
+void
+Aig::grow()
+{
+    table_.assign(table_.size() * 2, 0);
+    --slot_shift_;
+    const size_t mask = table_.size() - 1;
+    // Re-place the AND nodes in creation order: a sequential sweep of
+    // the node array instead of chasing the old table's entries.
+    for (uint32_t var = 1; var < nodes_.size(); ++var) {
+        if (input_index_[var] >= 0)
+            continue;
+        size_t slot = slotOf(nodes_[var].a, nodes_[var].b);
+        while (table_[slot] != 0)
+            slot = (slot + 1) & mask;
+        table_[slot] = var;
+    }
 }
 
 Lit
@@ -53,10 +88,13 @@ Aig::mkAnd(Lit a, Lit b)
     if (a == b)
         return a;
 
-    const uint64_t key = (static_cast<uint64_t>(a) << 32) | b;
-    auto found = hash_.find(key);
-    if (found != hash_.end())
-        return found->second << 1;
+    const size_t mask = table_.size() - 1;
+    size_t slot = slotOf(a, b);
+    for (uint32_t var; (var = table_[slot]) != 0; slot = (slot + 1) & mask) {
+        const Node &n = nodes_[var];
+        if (n.a == a && n.b == b)
+            return var << 1;
+    }
 
     if (nodes_.size() >= node_budget_) {
         // Out of nodes: flag the overflow and return an arbitrary
@@ -67,7 +105,10 @@ Aig::mkAnd(Lit a, Lit b)
     const uint32_t var = static_cast<uint32_t>(nodes_.size());
     nodes_.push_back({a, b});
     input_index_.push_back(-1);
-    hash_.emplace(key, var);
+    table_[slot] = var;
+    // Keep the table at most half full so probe runs stay short.
+    if (2 * ++num_ands_ > table_.size())
+        grow();
     return var << 1;
 }
 

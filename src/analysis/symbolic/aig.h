@@ -11,7 +11,9 @@
  * idempotence / complement rules fold eagerly. This is what makes the
  * common "both sides lower to the same circuit" equivalence queries
  * cheap — the miter collapses to constant false during construction
- * and the SAT core is never invoked.
+ * and the SAT core is never invoked. The hash is a flat open-addressing
+ * table of node indices (power-of-two capacity, linear probing, at
+ * most half full), so a gate costs no allocation of its own.
  *
  * Node allocation is budgeted: once `nodeBudget()` is exceeded the
  * builder keeps returning well-formed literals but raises the
@@ -23,7 +25,6 @@
 
 #include <cstddef>
 #include <cstdint>
-#include <unordered_map>
 #include <vector>
 
 namespace hydride {
@@ -90,11 +91,23 @@ class Aig
     /** Input ordinal of an input var (creation order). */
     int inputIndex(uint32_t var) const;
 
+    /** Slots in the structural hash table (a power of two). */
+    size_t hashSlots() const { return table_.size(); }
+
   private:
+    /** Home slot of the normalized pair (a, b). */
+    size_t slotOf(Lit a, Lit b) const;
+    /** Double the table and re-place every AND node. */
+    void grow();
+
     std::vector<Node> nodes_;          ///< Node 0 = constant false.
     std::vector<int> input_index_;     ///< Per-var input ordinal or -1.
     int num_inputs_ = 0;
-    std::unordered_map<uint64_t, uint32_t> hash_;
+    /** Structural hash: AND var per slot, 0 = empty (var 0 is the
+     *  constant, never an AND). */
+    std::vector<uint32_t> table_;
+    size_t num_ands_ = 0;
+    int slot_shift_;                   ///< 64 - log2(table_.size()).
     size_t node_budget_;
     bool overflowed_ = false;
 };

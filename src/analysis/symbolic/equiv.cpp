@@ -205,6 +205,12 @@ checkEquiv(const BVFun &a, const BVFun &b, const EqBudget &budget)
     // Tier 2: bit-blast both sides into one hashed AIG and build the
     // inequality miter.
     Aig aig(budget.max_nodes);
+    // Nodes built is a deterministic function of the query, so a
+    // builder change must leave this sum exactly where it was.
+    auto noteNodes = [&] {
+        result.aig_nodes = aig.numNodes();
+        metrics::counter("symbolic.equiv.aig_nodes").add(aig.numNodes());
+    };
     AigDomain dom(aig);
     std::vector<SymVec> args;
     args.reserve(a.arg_widths.size());
@@ -218,7 +224,7 @@ checkEquiv(const BVFun &a, const BVFun &b, const EqBudget &budget)
     } catch (const AssertionError &err) {
         result.reason = std::string("symbolic evaluation failed: ") +
                         err.what();
-        result.aig_nodes = aig.numNodes();
+        noteNodes();
         result.seconds = secondsSince(start);
         return result;
     }
@@ -234,7 +240,7 @@ checkEquiv(const BVFun &a, const BVFun &b, const EqBudget &budget)
         } else {
             result.reason = "output width mismatch";
         }
-        result.aig_nodes = aig.numNodes();
+        noteNodes();
         result.seconds = secondsSince(start);
         return result;
     }
@@ -242,7 +248,7 @@ checkEquiv(const BVFun &a, const BVFun &b, const EqBudget &budget)
     Lit miter = kFalseLit;
     for (int i = 0; i < out_a.width(); ++i)
         miter = aig.mkOr(miter, aig.mkXor(out_a.bits[i], out_b.bits[i]));
-    result.aig_nodes = aig.numNodes();
+    noteNodes();
 
     if (aig.overflowed()) {
         result.reason = "node budget (" + std::to_string(aig.nodeBudget()) +
@@ -252,6 +258,7 @@ checkEquiv(const BVFun &a, const BVFun &b, const EqBudget &budget)
     }
     if (miter == kFalseLit) {
         // Identical circuits after hashing: equal on every input.
+        metrics::counter("symbolic.equiv.structural_proved").add();
         result.verdict = Verdict::Proved;
         result.method = "structural";
         result.seconds = secondsSince(start);

@@ -3,6 +3,8 @@
 #include "observability/phases.h"
 #include "support/error.h"
 
+#include <type_traits>
+
 namespace hydride {
 namespace sym {
 
@@ -37,17 +39,31 @@ gatherArgs(Domain &dom, const std::vector<ValueRef> &refs,
     return args;
 }
 
-/** Representative view of one dictionary variant (AutoLLVMDict::run). */
+/** Concrete values for the evaluators below: BitVectors, run by the
+ *  semantics' own interpreter. */
+struct ConcreteDomain
+{
+    using Value = BitVector;
+    BitVector constant(const BitVector &v) const { return v; }
+};
+
+/** Representative view of one dictionary variant (AutoLLVMDict::run),
+ *  under `params` when given instead of the member's values. */
 template <typename Domain>
 typename Domain::Value
 runVariantDom(Domain &dom, const AutoLLVMDict &dict,
               const AutoOpVariant &variant,
               const std::vector<typename Domain::Value> &args,
-              const std::vector<int64_t> &int_args)
+              const std::vector<int64_t> &int_args,
+              const std::vector<int64_t> *params)
 {
-    const ClassMember &member = variant.member(dict);
     const CanonicalSemantics &rep = dict.cls(variant.class_id).rep;
-    return evalSemanticsDom(dom, rep, args, member.param_values, int_args);
+    const std::vector<int64_t> &values =
+        params ? *params : variant.member(dict).param_values;
+    if constexpr (std::is_same_v<Domain, ConcreteDomain>)
+        return rep.evaluate(args, values, int_args);
+    else
+        return evalSemanticsDom(dom, rep, args, values, int_args);
 }
 
 /** Hardware view: member's own semantics, argument permutation undone.
@@ -78,18 +94,23 @@ runMemberHWDom(Domain &dom, const AutoLLVMDict &dict,
 template <typename Domain>
 typename Domain::Value
 evalModuleDom(Domain &dom, const AutoLLVMDict &dict, const AutoModule &m,
+              const InstParams &inst_params,
               const std::vector<typename Domain::Value> &inputs)
 {
     HYD_ASSERT(inputs.size() == m.input_widths.size(),
                "module input arity mismatch");
     HYD_ASSERT(!m.insts.empty(), "empty AutoLLVM module");
+    HYD_ASSERT(inst_params.empty() || inst_params.size() == m.insts.size(),
+               "instruction parameter count mismatch");
     std::vector<typename Domain::Value> values;
     values.reserve(m.insts.size());
-    for (const AutoInst &inst : m.insts) {
+    for (size_t i = 0; i < m.insts.size(); ++i) {
+        const AutoInst &inst = m.insts[i];
         const auto args =
             gatherArgs(dom, inst.args, inputs, m.constants, values);
-        values.push_back(
-            runVariantDom(dom, dict, inst.op, args, inst.int_args));
+        values.push_back(runVariantDom(
+            dom, dict, inst.op, args, inst.int_args,
+            inst_params.empty() ? nullptr : &inst_params[i]));
     }
     const int out = m.result < 0 ? static_cast<int>(m.insts.size()) - 1
                                  : m.result;
@@ -285,25 +306,29 @@ evalHalideDom(Domain &dom, const HExprPtr &expr,
 // ---- BVFun wiring -------------------------------------------------------
 
 BVFun
-moduleFun(const AutoLLVMDict &dict, const AutoModule &module)
+moduleFun(const AutoLLVMDict &dict, const AutoModule &module,
+          InstParams params)
 {
     BVFun fun;
     fun.arg_widths = module.input_widths;
-    fun.concrete = [&dict, &module](const std::vector<BitVector> &inputs) {
-        return module.evaluate(dict, inputs);
+    fun.concrete = [&dict, &module,
+                    params](const std::vector<BitVector> &inputs) {
+        ConcreteDomain dom;
+        return evalModuleDom(dom, dict, module, params, inputs);
     };
-    fun.symbolic = [&dict, &module](AigDomain &dom,
-                                    const std::vector<SymVec> &inputs) {
-        return evalModuleDom(dom, dict, module, inputs);
+    fun.symbolic = [&dict, &module, params](
+                       AigDomain &dom, const std::vector<SymVec> &inputs) {
+        return evalModuleDom(dom, dict, module, params, inputs);
     };
-    fun.knownbits = [&dict, &module](KnownBitsDomain &dom,
-                                     const std::vector<KnownBits> &inputs) {
-        return evalModuleDom(dom, dict, module, inputs);
+    fun.knownbits = [&dict, &module,
+                     params](KnownBitsDomain &dom,
+                             const std::vector<KnownBits> &inputs) {
+        return evalModuleDom(dom, dict, module, params, inputs);
     };
-    fun.intervals = [&dict,
-                     &module](dataflow::IntervalDomain &dom,
-                              const std::vector<dataflow::Interval> &inputs) {
-        return evalModuleDom(dom, dict, module, inputs);
+    fun.intervals = [&dict, &module,
+                     params](dataflow::IntervalDomain &dom,
+                             const std::vector<dataflow::Interval> &inputs) {
+        return evalModuleDom(dom, dict, module, params, inputs);
     };
     return fun;
 }
@@ -407,12 +432,13 @@ evalTargetHW(const AutoLLVMDict &dict, const TargetProgram &program,
 
 EqResult
 checkModuleEquiv(const AutoLLVMDict &dict, const AutoModule &module,
-                 const HExprPtr &window, const EqBudget &budget)
+                 const HExprPtr &window, const EqBudget &budget,
+                 const InstParams &inst_params)
 {
     phases::Scope span(phases::Phase::Symbolic);
-    EqResult result = checkEquiv(
-        moduleFun(dict, module), windowFun(window, module.input_widths),
-        budget);
+    EqResult result = checkEquiv(moduleFun(dict, module, inst_params),
+                                 windowFun(window, module.input_widths),
+                                 budget);
     span.setAttr("verdict", verdictName(result.verdict));
     span.setAttr("method", result.method);
     return result;
@@ -430,8 +456,8 @@ EqResult
 checkLoweringEquiv(const AutoLLVMDict &dict, const AutoModule &module,
                    const TargetProgram &program, const EqBudget &budget)
 {
-    return checkEquiv(moduleFun(dict, module), targetHWFun(dict, program),
-                      budget);
+    return checkEquiv(moduleFun(dict, module, {}),
+                      targetHWFun(dict, program), budget);
 }
 
 } // namespace sym

@@ -42,9 +42,18 @@ namespace sym {
 BitVector evalTargetHW(const AutoLLVMDict &dict, const TargetProgram &program,
                        const std::vector<BitVector> &inputs);
 
-/** EQ04 / CEGIS: synthesized module vs. its specification window. */
+/**
+ * Parameter values per module instruction, standing in for each
+ * instruction's member values. CEGIS evaluates a lane-scaled candidate
+ * under its grammar ops' scaled parameters, which no member carries.
+ */
+using InstParams = std::vector<std::vector<int64_t>>;
+
+/** EQ04 / CEGIS: synthesized module vs. its specification window.
+ *  Empty `inst_params` = the representative view with member values. */
 EqResult checkModuleEquiv(const AutoLLVMDict &dict, const AutoModule &module,
-                          const HExprPtr &window, const EqBudget &budget);
+                          const HExprPtr &window, const EqBudget &budget,
+                          const InstParams &inst_params = {});
 
 /** EQ03: macro-expanded target program (hardware view) vs. the Halide
  *  op it implements. */

@@ -382,25 +382,28 @@ TEST(Resilience, PhaseAccountingNeedsMetricsButNoTracing)
 
 TEST(Resilience, CegisDeadlineOvershootIsBounded)
 {
-    // Regression for the deadline-granularity satellite: deadline
-    // checks live inside the candidate-enumeration inner loop, so a
-    // tiny budget must end the search promptly instead of finishing
-    // an entire enumeration level first. A hard window (wide product
-    // of sums, 3-instruction sequences, a large per-op combination
-    // budget) would enumerate for seconds without the inner-loop
-    // checks. (At the default budget of 4000 combinations the scaled
-    // search now exhausts in well under the deadline, and only the
-    // unscaled retry would meet it.)
+    // Deadline checks live inside the candidate-enumeration inner loop
+    // (the operand odometer), so a tiny budget must end the search
+    // promptly instead of finishing the operation it is enumerating.
+    // The window is built so that only that sampled check can stop it
+    // in time: a 32-bit product of a sum and a difference ranks the
+    // three-operand dot-product ops (`_mm512_dpbusds_epi32`, ...)
+    // first, so depth 2 opens with an op whose operand product is
+    // ~33 M tuples over the ~320 depth-1 values. Depth 1 takes a few
+    // milliseconds, so the deadline expires inside that first op; with
+    // only the per-op check, the search would run all of its tuples
+    // (tens of seconds) before noticing.
     const HExprPtr window =
         hBin(HOp::Mul,
-             hBin(HOp::Add, hInput(0, 16, 16), hInput(1, 16, 16)),
-             hBin(HOp::Sub, hInput(2, 16, 16), hInput(3, 16, 16)));
+             hBin(HOp::Add, hInput(0, 32, 16), hInput(1, 32, 16)),
+             hBin(HOp::Sub, hInput(2, 32, 16), hInput(3, 32, 16)));
     SynthesisOptions options;
     options.timeout_seconds = 0.05;
     options.max_insts = 3;
-    options.max_combos = 400000;
+    options.max_combos = 40000000; // Above that op's operand product.
+    const AutoLLVMDict &x86 = dict(); // Built outside the timed search.
     Stopwatch watch;
-    SynthesisResult synth = synthesizeWindow(dict(), "x86", window, options);
+    SynthesisResult synth = synthesizeWindow(x86, "x86", window, options);
     const double elapsed = watch.seconds();
     EXPECT_LT(elapsed, 2.0);
     if (!synth.ok) {

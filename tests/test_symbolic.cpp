@@ -2,17 +2,25 @@
  * @file
  * Solver-core tests for the symbolic equivalence engine: AIG folding
  * and budgets, the known-bits lattice, Tseitin encoding + DPLL against
- * truth tables, and a differential fuzz of checkEquiv verdicts against
- * exhaustive enumeration at small widths.
+ * truth tables, a differential fuzz of checkEquiv verdicts against
+ * exhaustive enumeration at small widths, and the pinned work of one
+ * store-hit re-proof.
  */
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <functional>
+#include <map>
 #include <memory>
+#include <tuple>
+#include <utility>
 
 #include "analysis/symbolic/equiv.h"
+#include "analysis/symbolic/ir_equiv.h"
 #include "analysis/symbolic/sat.h"
+#include "halide/kernels.h"
 #include "support/rng.h"
+#include "synthesis/cegis.h"
 
 namespace hydride {
 namespace {
@@ -75,6 +83,153 @@ TEST(Aig, NodeBudgetOverflowIsSticky)
     const Lit l = aig.mkAnd(acc, inputs[1]);
     EXPECT_LT(litVar(l), aig.numNodes());
     EXPECT_TRUE(aig.overflowed());
+}
+
+/** Aig::mkAnd's contract over an ordered map: the same folds and
+ *  operand normalization, and AND nodes numbered in creation order
+ *  after the constant and the inputs. */
+class ReferenceAig
+{
+  public:
+    explicit ReferenceAig(uint32_t inputs)
+        : next_var_(1 + inputs)
+    {
+    }
+
+    Lit
+    mkAnd(Lit a, Lit b)
+    {
+        if (a > b)
+            std::swap(a, b);
+        if (a == kFalseLit || a == litNot(b))
+            return kFalseLit;
+        if (a == kTrueLit)
+            return b;
+        if (a == b)
+            return a;
+        const auto [it, inserted] = vars_.try_emplace({a, b}, next_var_);
+        if (inserted)
+            ++next_var_;
+        return it->second << 1;
+    }
+
+    size_t distinctPairs() const { return vars_.size(); }
+
+  private:
+    uint32_t next_var_;
+    std::map<std::pair<Lit, Lit>, uint32_t> vars_;
+};
+
+TEST(Aig, FlatHashMatchesReferenceModel)
+{
+    // Random gates over a growing literal pool, a third of them
+    // repeats of earlier queries (in either operand order), some of
+    // them folds. Half the fresh gates take one operand from the few
+    // input literals, so many stored pairs share an operand and probe
+    // runs mix them. Every literal must match the reference, through
+    // many table doublings.
+    constexpr int kInputs = 48;
+    constexpr int kCalls = 240000;
+    Aig aig;
+    ReferenceAig ref(kInputs);
+    std::vector<Lit> pool = {kFalseLit, kTrueLit};
+    for (int i = 0; i < kInputs; ++i)
+        pool.push_back(aig.addInput());
+    const size_t initial_slots = aig.hashSlots();
+    std::vector<std::pair<Lit, Lit>> asked;
+    asked.reserve(kCalls);
+    Rng rng(0xA16);
+    for (int call = 0; call < kCalls; ++call) {
+        Lit a, b;
+        const uint64_t kind = rng.nextBelow(12);
+        if (!asked.empty() && kind < 4) {
+            std::tie(a, b) = asked[rng.nextBelow(asked.size())];
+            if (rng.nextBool())
+                std::swap(a, b);
+        } else {
+            // Recent literals build deep cones; any literal, shallow
+            // ones. Either may come complemented.
+            const size_t recent = std::min<size_t>(pool.size(), 64);
+            a = (kind < 9 ? pool[2 + rng.nextBelow(kInputs)]
+                          : pool[pool.size() - 1 - rng.nextBelow(recent)]) ^
+                static_cast<Lit>(rng.nextBool());
+            b = kind == 4   ? a
+                : kind == 5 ? litNot(a)
+                            : pool[rng.nextBelow(pool.size())] ^
+                                  static_cast<Lit>(rng.nextBool());
+        }
+        const size_t before = aig.numNodes();
+        const Lit got = aig.mkAnd(a, b);
+        ASSERT_EQ(got, ref.mkAnd(a, b)) << "call " << call;
+        asked.emplace_back(a, b);
+        if (aig.numNodes() > before)
+            pool.push_back(got);
+    }
+    EXPECT_FALSE(aig.overflowed());
+    EXPECT_EQ(aig.numNodes(), 1 + kInputs + ref.distinctPairs());
+    EXPECT_GE(aig.hashSlots(), initial_slots << 6);
+    // At most half full.
+    EXPECT_LE(2 * ref.distinctPairs(), aig.hashSlots());
+}
+
+/** A fresh pair of inputs and their AND (three nodes). */
+Lit
+addGate(Aig &aig)
+{
+    const Lit a = aig.addInput();
+    return aig.mkAnd(a, aig.addInput());
+}
+
+/** Node count right after the gate that first doubles the table. */
+size_t
+nodesAtFirstGrowth()
+{
+    Aig aig;
+    const size_t initial_slots = aig.hashSlots();
+    while (aig.hashSlots() == initial_slots)
+        addGate(aig);
+    return aig.numNodes();
+}
+
+TEST(Aig, NodeBudgetOverflowAtGrowthBoundary)
+{
+    // Two budgets at the first table doubling: one whose last node is
+    // the gate that doubles the table, and one that refuses exactly
+    // that gate. Either way the next new gate overflows, the flag
+    // stays set, no node is added, and gates built inside the budget
+    // still hash to their nodes.
+    const size_t growth_nodes = nodesAtFirstGrowth();
+    for (const size_t budget : {growth_nodes, growth_nodes - 1}) {
+        SCOPED_TRACE("budget " + std::to_string(budget));
+        const bool grows = budget == growth_nodes;
+        Aig aig(budget);
+        const size_t initial_slots = aig.hashSlots();
+        std::vector<Lit> gates;
+        while (aig.numNodes() + 3 <= budget)
+            gates.push_back(addGate(aig));
+        ASSERT_FALSE(aig.overflowed());
+        ASSERT_EQ(aig.numNodes(), grows ? budget : budget - 2);
+        EXPECT_EQ(aig.hashSlots() > initial_slots, grows);
+
+        if (grows) {
+            EXPECT_EQ(aig.mkAnd(gates[0], gates[1]), kFalseLit);
+        } else {
+            // Its inputs fit; its AND is the one that would grow.
+            EXPECT_EQ(addGate(aig), kFalseLit);
+        }
+        EXPECT_TRUE(aig.overflowed());
+        EXPECT_EQ(aig.hashSlots() > initial_slots, grows);
+        const size_t nodes = aig.numNodes();
+        EXPECT_EQ(nodes, budget);
+
+        for (const Lit gate : gates) {
+            const Aig::Node &n = aig.node(litVar(gate));
+            EXPECT_EQ(aig.mkAnd(n.b, n.a), gate);
+        }
+        EXPECT_EQ(aig.mkAnd(gates[1], litNot(gates[2])), kFalseLit);
+        EXPECT_TRUE(aig.overflowed());
+        EXPECT_EQ(aig.numNodes(), nodes);
+    }
 }
 
 TEST(Aig, EvalLitMatchesTruthTable)
@@ -710,6 +865,35 @@ TEST(CheckEquiv, BudgetExhaustionIsUnknownNeverProved)
                         funFromTree(node(BVBinOp::Mul, b, a), w), budget);
     EXPECT_EQ(r.verdict, sym::Verdict::Unknown);
     EXPECT_FALSE(r.reason.empty());
+}
+
+TEST(CheckEquiv, Dot2AccStoreReproofIsStructural)
+{
+    // The heaviest re-proof a warm durable store pays: x86 matmul_bias
+    // window 0, a 16 x i32 `a + sum b*c`, against its synthesized
+    // `_mm512_dpwssd_epi32`. Both sides bit-blast to the same circuit
+    // of 32-bit multipliers, so the miter hashes to constant false.
+    // The node count is the builder's work; a faster builder must
+    // build exactly this circuit.
+    const AutoLLVMDict dict = AutoLLVMDict::build({"x86"});
+    Schedule schedule;
+    schedule.vector_bits = 512;
+    const HExprPtr window = buildKernel("matmul_bias", schedule).windows.at(0);
+    SynthesisOptions options;
+    options.timeout_seconds = 600.0; // The search ends on its own.
+    const SynthesisResult synth =
+        synthesizeWindow(dict, "x86", window, options);
+    ASSERT_TRUE(synth.ok) << synth.note;
+    ASSERT_EQ(synth.module.insts.size(), 1u);
+    EXPECT_EQ(synth.module.insts[0].op.member(dict).name,
+              "_mm512_dpwssd_epi32");
+
+    const sym::EqResult eq = sym::checkModuleEquiv(
+        dict, synth.module, window, options.symbolic_budget);
+    EXPECT_EQ(eq.verdict, sym::Verdict::Proved) << eq.reason;
+    EXPECT_EQ(eq.method, "structural");
+    EXPECT_EQ(eq.aig_nodes, 176209u);
+    EXPECT_EQ(eq.conflicts, 0);
 }
 
 } // namespace

@@ -302,6 +302,37 @@ TEST(Cegis, SymbolicVerifyProvesTheFullWidthWinner)
     EXPECT_EQ(result.symbolic_unknowns, 0);
 }
 
+TEST(Cegis, ScaledInLoopProofHasNoUnknowns)
+{
+    // Lane scaling on: the in-loop proof checks each winner at the
+    // search's scaled width, so it must evaluate the candidate under
+    // the grammar's scaled parameters, as the search does. With the
+    // members' full-width parameters every such query used to fail
+    // symbolic evaluation and count as unknown.
+    const std::pair<const char *, size_t> windows[] = {
+        {"add", 0},       {"mul", 0},         {"average_pool", 0},
+        {"dilate3x3", 0}, {"dilate3x3", 1},   {"matmul_bias", 0},
+        {"matmul_bias", 1},
+    };
+    Schedule schedule;
+    schedule.vector_bits = 512;
+    SynthesisOptions options;
+    options.symbolic_verify = true;
+    options.timeout_seconds = 600.0; // The searches end on their own.
+    for (const auto &[kernel, index] : windows) {
+        SCOPED_TRACE(std::string(kernel) + " window " +
+                     std::to_string(index));
+        const HExprPtr window =
+            buildKernel(kernel, schedule).windows.at(index);
+        const SynthesisResult result =
+            synthesizeWindow(dict(), "x86", window, options);
+        ASSERT_TRUE(result.ok) << result.note;
+        EXPECT_GT(result.scale, 1);
+        EXPECT_EQ(result.symbolic_verdict, "proved");
+        EXPECT_EQ(result.symbolic_unknowns, 0);
+    }
+}
+
 TEST(Cegis, FailedWarmSeedsStayCountedWhenTheSearchRuns)
 {
     // A seed solving a different function of the same inputs passes

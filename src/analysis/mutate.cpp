@@ -323,8 +323,8 @@ mutateClasses(std::vector<EquivalenceClass> &classes,
                                                         member_ints);
                     };
                 auto rep_view = [&](const std::vector<BitVector> &args) {
-                    return evaluateWithParams(mutated, member.param_values,
-                                              args, rep_ints);
+                    return mutated.evaluate(args, member.param_values,
+                                            rep_ints);
                 };
                 if (concretelyDiffers(member_view, rep_view, widths)) {
                     cls.rep.templates[0] = rewritten;

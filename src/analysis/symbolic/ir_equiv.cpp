@@ -10,7 +10,7 @@ namespace sym {
 
 namespace {
 
-// ---- Generic evaluators (shared between both symbolic domains) ---------
+// ---- Generic evaluators (shared by the concrete and symbolic domains) --
 
 template <typename Domain>
 std::vector<typename Domain::Value>
@@ -45,6 +45,11 @@ struct ConcreteDomain
 {
     using Value = BitVector;
     BitVector constant(const BitVector &v) const { return v; }
+    BitVector
+    concat(const BitVector &hi, const BitVector &lo) const
+    {
+        return BitVector::concat(hi, lo);
+    }
 };
 
 /** Representative view of one dictionary variant (AutoLLVMDict::run),
@@ -88,7 +93,11 @@ runMemberHWDom(Domain &dom, const AutoLLVMDict &dict,
     for (size_t k = 0; k < args.size(); ++k)
         member_args[member.arg_perm.empty() ? k : member.arg_perm[k]] =
             args[k];
-    return evalSemanticsDom(dom, member.concrete, member_args, {}, int_args);
+    if constexpr (std::is_same_v<Domain, ConcreteDomain>)
+        return member.concrete.evaluate(member_args, {}, int_args);
+    else
+        return evalSemanticsDom(dom, member.concrete, member_args, {},
+                                int_args);
 }
 
 template <typename Domain>
@@ -339,7 +348,8 @@ targetHWFun(const AutoLLVMDict &dict, const TargetProgram &program)
     BVFun fun;
     fun.arg_widths = program.input_widths;
     fun.concrete = [&dict, &program](const std::vector<BitVector> &inputs) {
-        return evalTargetHW(dict, program, inputs);
+        ConcreteDomain dom;
+        return evalTargetHWDom(dom, dict, program, inputs);
     };
     fun.symbolic = [&dict, &program](AigDomain &dom,
                                      const std::vector<SymVec> &inputs) {
@@ -381,54 +391,6 @@ windowFun(const HExprPtr &window, const std::vector<int> &input_widths)
 }
 
 } // namespace
-
-BitVector
-evalTargetHW(const AutoLLVMDict &dict, const TargetProgram &program,
-             const std::vector<BitVector> &inputs)
-{
-    std::vector<BitVector> values;
-    values.reserve(program.insts.size());
-    for (const TargetInst &inst : program.insts) {
-        std::vector<BitVector> args;
-        args.reserve(inst.args.size());
-        for (const ValueRef &ref : inst.args) {
-            if (ref.kind == ValueRef::Input)
-                args.push_back(inputs[ref.index]);
-            else if (ref.kind == ValueRef::Const)
-                args.push_back(program.constants[ref.index]);
-            else
-                args.push_back(values[ref.index]);
-        }
-        const ClassMember &member = inst.op.member(dict);
-        HYD_ASSERT(member.arg_perm.empty() ||
-                       member.arg_perm.size() == args.size(),
-                   "argument permutation arity mismatch for " + member.name);
-        std::vector<BitVector> member_args(args.size(), BitVector(1));
-        for (size_t k = 0; k < args.size(); ++k)
-            member_args[member.arg_perm.empty() ? k : member.arg_perm[k]] =
-                args[k];
-        values.push_back(
-            member.concrete.evaluate(member_args, {}, inst.int_args));
-    }
-    if (!program.results.empty()) {
-        auto value_of = [&](const ValueRef &ref) {
-            if (ref.kind == ValueRef::Input)
-                return inputs[ref.index];
-            if (ref.kind == ValueRef::Const)
-                return program.constants[ref.index];
-            return values[ref.index];
-        };
-        BitVector out = value_of(program.results[0]);
-        for (size_t r = 1; r < program.results.size(); ++r)
-            out = BitVector::concat(value_of(program.results[r]), out);
-        return out;
-    }
-    HYD_ASSERT(!values.empty(), "empty target program");
-    const int out = program.result < 0
-                        ? static_cast<int>(program.insts.size()) - 1
-                        : program.result;
-    return values[out];
-}
 
 EqResult
 checkModuleEquiv(const AutoLLVMDict &dict, const AutoModule &module,

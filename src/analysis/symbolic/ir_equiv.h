@@ -35,14 +35,6 @@ namespace hydride {
 namespace sym {
 
 /**
- * Hardware-view concrete execution of a target program: every
- * instruction runs its member's own concrete semantics (argument
- * permutation undone) instead of the class representative's.
- */
-BitVector evalTargetHW(const AutoLLVMDict &dict, const TargetProgram &program,
-                       const std::vector<BitVector> &inputs);
-
-/**
  * Parameter values per module instruction, standing in for each
  * instruction's member values. CEGIS evaluates a lane-scaled candidate
  * under its grammar ops' scaled parameters, which no member carries.

@@ -148,15 +148,12 @@ verifyRetrieved(const AutoLLVMDict &dict, const HExprPtr &window,
     // Unknown verdict: fall back to concrete sampling. Fixed seed so
     // a poisoned entry fails deterministically run to run.
     Rng rng(0x570F3u ^ HExpr::hashOf(window));
-    for (int v = 0; v < concrete_vectors; ++v) {
-        std::vector<BitVector> inputs;
-        for (int w : module.input_widths)
-            inputs.push_back(BitVector::random(std::max(w, 1), rng));
-        if (module.evaluate(dict, inputs) != evalHalide(window, inputs)) {
-            why = "concrete counterexample (vector " +
-                  std::to_string(v) + ")";
-            return false;
-        }
+    const int mismatch =
+        firstConcreteMismatch(dict, module, window, rng, concrete_vectors);
+    if (mismatch >= 0) {
+        why = "concrete counterexample (vector " + std::to_string(mismatch) +
+              ")";
+        return false;
     }
     return true;
 }

@@ -23,27 +23,7 @@ EquivalenceClass::coversIsa(const std::string &isa) const
     return false;
 }
 
-BitVector
-evaluateWithParams(const CanonicalSemantics &rep,
-                   const std::vector<int64_t> &param_values,
-                   const std::vector<BitVector> &args,
-                   const std::vector<int64_t> &int_args)
-{
-    return rep.evaluate(args, param_values, int_args);
-}
-
 namespace {
-
-/** Default parameter values recorded by extraction. */
-std::vector<int64_t>
-valuesOf(const CanonicalSemantics &sym)
-{
-    std::vector<int64_t> values;
-    values.reserve(sym.params.size());
-    for (const auto &info : sym.params)
-        values.push_back(info.default_value);
-    return values;
-}
 
 /**
  * Permute the bitvector arguments of a concrete semantics:
@@ -87,6 +67,9 @@ identityPerm(size_t n)
     return perm;
 }
 
+/** Random vectors verifyMember checks per member. */
+constexpr int kVerifyTrials = 2;
+
 /**
  * Differentially verify that the class representative, instantiated
  * with the member's parameter values and argument permutation,
@@ -94,13 +77,12 @@ identityPerm(size_t n)
  * This is the testing stand-in for the paper's SMT queries.
  */
 bool
-verifyMember(const CanonicalSemantics &rep, const ClassMember &member,
-             int trials)
+verifyMember(const CanonicalSemantics &rep, const ClassMember &member)
 {
     Rng rng(0x5E11A ^ std::hash<std::string>{}(member.name));
     const std::vector<int64_t> int_values(member.concrete.int_args.size(),
                                           1);
-    for (int trial = 0; trial < trials; ++trial) {
+    for (int trial = 0; trial < kVerifyTrials; ++trial) {
         std::vector<BitVector> args;
         for (size_t a = 0; a < member.concrete.bv_args.size(); ++a) {
             args.push_back(BitVector::random(
@@ -229,7 +211,7 @@ runSimilarityEngine(const std::vector<CanonicalSemantics> &insts,
         member.name = concrete.name;
         member.isa = concrete.isa;
         member.latency = concrete.latency;
-        member.param_values = valuesOf(sym);
+        member.param_values = sym.defaultParamValues();
         member.arg_perm = identityPerm(concrete.bv_args.size());
         member.concrete = concrete;
 
@@ -290,7 +272,7 @@ runSimilarityEngine(const std::vector<CanonicalSemantics> &insts,
                             CanonicalSemantics resym = extractConstants(
                                 permuteArgs(member.concrete, perm));
                             ClassMember moved = member;
-                            moved.param_values = valuesOf(resym);
+                            moved.param_values = resym.defaultParamValues();
                             moved.arg_perm =
                                 composePerm(member.arg_perm, perm);
                             classes[a].members.push_back(std::move(moved));
@@ -319,14 +301,14 @@ runSimilarityEngine(const std::vector<CanonicalSemantics> &insts,
             // Chaos seam: a forced verification failure exercises the
             // conservative singleton-split fallback for this member.
             if (!faults::shouldFail("similarity.verify", member.name) &&
-                verifyMember(cls.rep, member, options.verify_trials)) {
+                verifyMember(cls.rep, member)) {
                 verified.push_back(std::move(member));
             } else {
                 ++stats->verification_failures;
                 EquivalenceClass singleton;
                 singleton.rep = extractConstants(member.concrete);
                 singleton.rep.name = "class_" + member.name;
-                member.param_values = valuesOf(singleton.rep);
+                member.param_values = singleton.rep.defaultParamValues();
                 member.arg_perm =
                     identityPerm(member.concrete.bv_args.size());
                 singleton.members.push_back(std::move(member));

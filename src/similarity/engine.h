@@ -65,7 +65,6 @@ struct SimilarityOptions
 {
     bool permute_args = true;
     bool eliminate_dead_params = true;
-    int verify_trials = 2;
 };
 
 /** Statistics reported alongside the classes. */
@@ -85,16 +84,6 @@ std::vector<EquivalenceClass>
 runSimilarityEngine(const std::vector<CanonicalSemantics> &insts,
                     const SimilarityOptions &options = {},
                     SimilarityStats *stats = nullptr);
-
-/**
- * Instantiate a symbolic semantics with concrete parameter values and
- * evaluate it (convenience used by verification, AutoLLVM execution
- * and the simulator).
- */
-BitVector evaluateWithParams(const CanonicalSemantics &rep,
-                             const std::vector<int64_t> &param_values,
-                             const std::vector<BitVector> &args,
-                             const std::vector<int64_t> &int_args = {});
 
 } // namespace hydride
 

@@ -36,6 +36,8 @@
 
 namespace hydride {
 
+class Rng;
+
 /** Synthesis knobs; defaults match the paper's best configuration. */
 struct SynthesisOptions
 {
@@ -119,6 +121,14 @@ SynthesisResult synthesizeWindow(const AutoLLVMDict &dict,
                                  const std::string &isa,
                                  const HExprPtr &window,
                                  const SynthesisOptions &options = {});
+
+/**
+ * Concrete differential check: evaluate `module` and `window` on
+ * `vectors` random input vectors drawn in order from `rng`. Returns
+ * the index of the first vector on which they disagree, or -1.
+ */
+int firstConcreteMismatch(const AutoLLVMDict &dict, const AutoModule &module,
+                          const HExprPtr &window, Rng &rng, int vectors);
 
 /** Rebuild a window with every lane count divided by `scale`;
  *  returns nullptr when the window cannot be scaled. */

@@ -364,13 +364,6 @@ buildGrammar(const AutoLLVMDict &dict, const std::string &isa,
         candidates = std::move(kept);
     }
 
-    if (!options.include_swizzles) {
-        candidates.erase(
-            std::remove_if(candidates.begin(), candidates.end(),
-                           [](const Scored &s) { return s.swizzle; }),
-            candidates.end());
-    }
-
     // Global cap (the "top 50 by score" ablation).
     std::sort(candidates.begin(), candidates.end(),
               [](const Scored &a, const Scored &b) {

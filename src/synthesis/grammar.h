@@ -63,7 +63,6 @@ struct GrammarOptions
     bool bvs = true;
     bool sbos = true;
     int k = 4;
-    bool include_swizzles = true;
     /** If nonzero, globally cap to the best-scoring N variants
      *  (the "Top 50 instructions" ablation row). */
     int max_ops = 0;

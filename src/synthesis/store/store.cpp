@@ -396,10 +396,10 @@ SynthesisStore::open(const std::string &root, const AutoLLVMDict &dict,
     const bool compatible = have_meta && magic == "hydride-store" &&
                             version == "v1" && found_fp == fingerprint;
     if (have_meta && !compatible) {
-        // Never half-load an incompatible store: either rename the
-        // whole tree aside (bumping the epoch for the replacement) or
-        // refuse outright.
-        if (!options_.quarantine_incompatible || options_.read_only) {
+        // Never half-load an incompatible store: rename the whole tree
+        // aside (bumping the epoch for the replacement), or refuse
+        // outright when read-only.
+        if (options_.read_only) {
             open_stats_.error =
                 "incompatible store (dictionary fingerprint mismatch)";
             return false;

@@ -91,9 +91,6 @@ class SynthesisStore
         double stale_lock_age_seconds = 30.0;
         /** Bounded lock wait: attempts x a fixed 2 ms backoff. */
         int lock_attempts = 200;
-        /** Rename an incompatible (wrong-fingerprint) store aside and
-         *  re-initialize instead of refusing to open. */
-        bool quarantine_incompatible = true;
     };
 
     /** What open() found and did. */

@@ -222,7 +222,7 @@ TEST(SimilarityEngine, DeadParamsAreEliminated)
         std::vector<BitVector> args = {
             BitVector::random(member.concrete.argWidth(0, {}), rng),
             BitVector::random(member.concrete.argWidth(1, {}), rng)};
-        EXPECT_EQ(evaluateWithParams(slim[0].rep, member.param_values, args),
+        EXPECT_EQ(slim[0].rep.evaluate(args, member.param_values),
                   member.concrete.evaluate(args, {}));
     }
 }
@@ -242,7 +242,7 @@ TEST(SimilarityEngine, ParameterizedRepCoversEveryMemberWidth)
         for (size_t a = 0; a < member.concrete.bv_args.size(); ++a)
             args.push_back(BitVector::random(
                 member.concrete.argWidth(static_cast<int>(a), {}), rng));
-        EXPECT_EQ(evaluateWithParams(cls.rep, member.param_values, args),
+        EXPECT_EQ(cls.rep.evaluate(args, member.param_values),
                   member.concrete.evaluate(args, {}))
             << member.name;
     }

@@ -356,8 +356,9 @@ TEST_F(StoreTest, IncompatibleStoreIsRefusedWhenQuarantineIsOff)
         ASSERT_TRUE(store.open(root_, dict()));
     }
     AutoLLVMDict other = AutoLLVMDict::build({"hvx"});
+    // A read-only open never renames the tree aside: it refuses.
     SynthesisStore::Options options;
-    options.quarantine_incompatible = false;
+    options.read_only = true;
     SynthesisStore store;
     EXPECT_FALSE(store.open(root_, other, options));
     EXPECT_FALSE(store.isOpen());

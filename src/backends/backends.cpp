@@ -439,23 +439,15 @@ RakeBackend::compile(const Kernel &kernel, CompiledKernel &out)
 
 // ---- HydrideBackend ---------------------------------------------------------
 
-namespace {
-
-ResilienceOptions
-paperPolicy(SynthesisOptions synthesis)
-{
-    ResilienceOptions options;
-    options.synthesis = std::move(synthesis);
-    options.retry_escalated = false;
-    return options;
-}
-
-} // namespace
-
 HydrideBackend::HydrideBackend(const AutoLLVMDict &dict, std::string isa,
                                int vector_bits, SynthesisOptions options,
                                SynthesisCache *cache)
-    : compiler_(dict, isa, vector_bits, paperPolicy(std::move(options)),
+    : compiler_(dict, isa, vector_bits,
+                [&] {
+                    ResilienceOptions driver;
+                    driver.synthesis = std::move(options);
+                    return driver;
+                }(),
                 cache),
       isa_(std::move(isa))
 {

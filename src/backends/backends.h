@@ -119,10 +119,10 @@ class RakeBackend : public Backend
 
 /**
  * Hydride wrapped in the common interface: the resilient driver
- * without the escalated retry, so a window gets exactly one CEGIS
- * search under `options` (the paper's path). compile() returns false
- * when a window ends Scalarized or Failed, since neither has a target
- * program to put in a CompiledKernel.
+ * with one CEGIS search per window under `options` (the paper's
+ * path). compile() returns false when a window ends Scalarized or
+ * Failed, since neither has a target program to put in a
+ * CompiledKernel.
  */
 class HydrideBackend : public Backend
 {

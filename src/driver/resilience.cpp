@@ -62,11 +62,6 @@ ResilientCompilation::staticCost() const
 
 namespace {
 
-/** Escalated retry: the deadline and the symbolic node/conflict
- *  budgets are multiplied by these on the one retry after a timeout. */
-constexpr double kTimeoutEscalation = 4.0;
-constexpr double kBudgetEscalation = 4.0;
-
 /** Concrete vectors for a store hit whose symbolic verdict is
  *  unknown. */
 constexpr int kStoreVerifyVectors = 16;
@@ -220,7 +215,6 @@ ResilientCompiler::tryPrimary(const HExprPtr &window, ResilientWindow &out)
                 return false;
             }
             out.rung = Rung::Cached;
-            out.from_cache = true;
             out.synth = *cached;
             out.program = std::move(lowered.program);
             return true;
@@ -261,7 +255,6 @@ ResilientCompiler::tryPrimary(const HExprPtr &window, ResilientWindow &out)
                         out.cache_outcome = "store_hit";
                         metrics::counter("resilience.store.hits").add();
                         out.rung = Rung::Cached;
-                        out.from_cache = true;
                         out.synth = *stored;
                         // The ledger reports this compile's re-proof
                         // (none without store_verify), not the
@@ -313,29 +306,6 @@ ResilientCompiler::tryPrimary(const HExprPtr &window, ResilientWindow &out)
         }
         SynthesisResult synth =
             synthesizeWindow(dict_, isa_, window, synth_options);
-        // The note is "timeout" possibly extended by the unscaled
-        // retry's outcome ("timeout; unscaled retry: ..."), so match
-        // the prefix.
-        if (!synth.ok && synth.note.rfind("timeout", 0) == 0 &&
-            options_.retry_escalated) {
-            // The search was cut off by its deadline rather than
-            // exhausted — more budget can genuinely help. One retry,
-            // escalated; search exhaustion is never retried (a bigger
-            // budget re-walks the same finished grammar).
-            SynthesisOptions escalated = options_.synthesis;
-            escalated.timeout_seconds *= kTimeoutEscalation;
-            escalated.symbolic_budget.max_nodes = static_cast<size_t>(
-                escalated.symbolic_budget.max_nodes * kBudgetEscalation);
-            escalated.symbolic_budget.max_conflicts = static_cast<long>(
-                escalated.symbolic_budget.max_conflicts *
-                kBudgetEscalation);
-            out.retries = 1;
-            metrics::counter("resilience.retries").add();
-            SynthesisResult retried =
-                synthesizeWindow(dict_, isa_, window, escalated);
-            if (retried.ok)
-                synth = std::move(retried);
-        }
         cache_->insert(window, isa_, synth);
         if (store_.isOpen()) {
             // Share the outcome — positive or negative — with every
@@ -425,8 +395,6 @@ ResilientCompiler::compileWindow(const HExprPtr &window)
 
     out.seconds = watch.seconds();
     span.setAttr("rung", rungName(out.rung));
-    span.setAttr("retries", out.retries);
-    span.setAttr("from_cache", out.from_cache);
     span.setAttr("recovered", out.recovered);
     span.setAttr("diagnostics",
                  static_cast<int64_t>(out.diagnostics.size()));

@@ -29,9 +29,9 @@
  * silently wrong code.
  *
  * Every degradation is observable: `resilience.*` metrics count
- * windows per rung, recoveries per fault site, and escalated
- * retries; the `driver.resilience.window` trace span records the
- * rung each window landed on.
+ * windows per rung and recoveries per fault site; the
+ * `driver.resilience.window` trace span records the rung each window
+ * landed on.
  */
 #ifndef HYDRIDE_DRIVER_RESILIENCE_H
 #define HYDRIDE_DRIVER_RESILIENCE_H
@@ -61,14 +61,9 @@ const char *rungName(Rung rung);
 /** Driver policy knobs. */
 struct ResilienceOptions
 {
+    /** One CEGIS search per window (no second search: a window whose
+     *  search hits its deadline goes straight to macro expansion). */
     SynthesisOptions synthesis;
-    /**
-     * When synthesis fails specifically on its deadline (not search
-     * exhaustion — escalation cannot help an exhausted grammar),
-     * retry once with escalated time and symbolic budgets. The paper
-     * benches (HydrideBackend) turn this off.
-     */
-    bool retry_escalated = true;
     /** Disable rungs (the chaos harness's --break-ladder mode uses
      *  these to prove the harness detects a broken ladder). */
     bool allow_macro_fallback = true;
@@ -107,7 +102,6 @@ struct ResilientWindow
 {
     Rung rung = Rung::Failed;
     bool ok = false;
-    bool from_cache = false;
     /** Memoization outcome: "hit", "miss", "negative", or "none"
      *  when a fault tripped before the lookup ran; "store_hit" /
      *  "store_negative" when the durable store answered after the
@@ -115,7 +109,8 @@ struct ResilientWindow
     std::string cache_outcome = "none";
     /** Warm-start seeds retrieved from the store for this window. */
     int store_seeds = 0;
-    /** Escalated synthesis retries performed (0 or 1). */
+    /** Always 0: the driver runs one search per window. Kept for the
+     *  compile benchmark, which still reads it. */
     int retries = 0;
     /** A caught error was degraded past (ok may still be true). */
     bool recovered = false;

@@ -78,19 +78,6 @@ parseLevel(const std::string &text, Level &out)
 void
 configureFromEnv()
 {
-    // Legacy switch: any enabled boolean spelling means `debug`.
-    const env::Raw synth_debug = env::raw("HYDRIDE_SYNTH_DEBUG");
-    if (synth_debug.set && !synth_debug.value.empty()) {
-        bool on = false;
-        if (env::parseBool(synth_debug.value, on)) {
-            if (on)
-                setLevel(Level::Debug);
-        } else {
-            write(Level::Warn,
-                  "unrecognized HYDRIDE_SYNTH_DEBUG `" +
-                      synth_debug.value + "` (want a boolean)");
-        }
-    }
     const env::Raw level_knob = env::raw("HYDRIDE_LOG_LEVEL");
     if (level_knob.set) {
         Level parsed;

@@ -8,8 +8,7 @@
  * place:
  *
  *  - programmatically via `logging::setLevel()`, or
- *  - with `HYDRIDE_LOG_LEVEL=debug|info|warn|error|off` (the legacy
- *    `HYDRIDE_SYNTH_DEBUG=1` switch is honoured as `debug`).
+ *  - with `HYDRIDE_LOG_LEVEL=debug|info|warn|error|off`.
  *
  * The message argument of HYD_LOG is evaluated lazily — below the
  * active level the cost is a single relaxed atomic load.
@@ -71,7 +70,7 @@ void writeRaw(const std::string &line);
  *  false when `text` is not a level name. */
 bool parseLevel(const std::string &text, Level &out);
 
-/** (Re)read HYDRIDE_LOG_LEVEL / HYDRIDE_SYNTH_DEBUG and apply them.
+/** (Re)read HYDRIDE_LOG_LEVEL and apply it.
  *  Runs automatically before main(); callable again from tests. */
 void configureFromEnv();
 

@@ -19,8 +19,8 @@
  *       a clause grammar; a malformed spec is a CLI-level
  *       configuration error (the caller fatals — silently testing
  *       nothing would defeat the chaos suite).
- *   HYDRIDE_VERIFY / HYDRIDE_SYNTH_DEBUG
- *       booleans (env::parseBool); malformed values read as unset.
+ *   HYDRIDE_VERIFY
+ *       a boolean (env::parseBool); malformed values read as unset.
  *
  * The helpers themselves never log or exit: they return structured
  * results and let each caller apply its documented policy.

@@ -62,6 +62,8 @@ constexpr int kMaxBank = 3000;
 constexpr int kCegisRounds = 10;
 /** Seed of the search's random inputs and verification vectors. */
 constexpr uint64_t kSeed = 0xC0DE;
+/** Random vectors per verification (candidate, full width, warm seed). */
+constexpr int kVerifyVectors = 10;
 
 /** Inputs of a window: index -> width (at the window's scale). */
 std::vector<int>
@@ -130,19 +132,13 @@ struct Entry
 };
 
 /** Observational signature: width plus the value on the first
- *  counterexample (the lazy-dedup key, see tryCandidate), or nullptr
- *  with an empty counterexample set. */
+ *  counterexample (the lazy-dedup key, see tryCandidate). */
 uint64_t
-signature(int width, const BitVector *first_eval)
+signature(int width, const BitVector &first_eval)
 {
-    uint64_t h = 0x811C9DC5ull ^ width;
-    // With an empty counterexample set (pure symbolic CEGIS) every
-    // same-width candidate is observationally equivalent: one entry
-    // per width survives until the first refutation model arrives.
-    if (first_eval)
-        h ^= first_eval->hash() + 0x9E3779B97F4A7C15ull + (h << 6) +
-             (h >> 2);
-    return h;
+    const uint64_t h = 0x811C9DC5ull ^ width;
+    return h ^ (first_eval.hash() + 0x9E3779B97F4A7C15ull + (h << 6) +
+                (h >> 2));
 }
 
 /**
@@ -154,8 +150,8 @@ using OpMemoKey = std::tuple<std::string, std::vector<int64_t>, int64_t>;
 
 /**
  * What one (op, immediate) contributes to every search, whatever its
- * window. Repeated windows, escalated retries and benchmark
- * repetitions pay for each fact once per process.
+ * window. Repeated windows and benchmark repetitions pay for each
+ * fact once per process.
  */
 struct OpFacts
 {
@@ -266,14 +262,9 @@ class Search
         // vector computation patterns repeat every 1/2/4 lanes
         // (paper §4.2), so these two kill the large family of
         // candidates that are only correct on a low-lane prefix
-        // (interleaves of a correct half with junk). With
-        // verify_vectors == 0 random sampling is off entirely and
-        // every counterexample must come from the symbolic verifier
-        // (the paper's solver-driven CEGIS configuration).
-        if (options_.verify_vectors > 0) {
-            addCex(randomInputs());
-            addCex(randomInputs());
-        }
+        // (interleaves of a correct half with junk).
+        addCex(randomInputs());
+        addCex(randomInputs());
         failing_lanes_ = {0};
         const int out_lanes = out_width_ / out_ew_;
         if (out_lanes > 1)
@@ -292,8 +283,7 @@ class Search
             bool verified = true;
             {
                 phases::Scope scope(phases::Phase::ConcreteEval);
-                for (int v = 0; v < options_.verify_vectors && verified;
-                     ++v) {
+                for (int v = 0; v < kVerifyVectors && verified; ++v) {
                     std::vector<BitVector> inputs = randomInputs();
                     const BitVector expect = evalHalide(window_, inputs);
                     const BitVector got = evalEntryOn(winner, inputs);
@@ -526,8 +516,7 @@ class Search
     bool
     pushEntry(Entry entry)
     {
-        const uint64_t sig = signature(
-            entry.width, entry.evals.empty() ? nullptr : &entry.evals[0]);
+        const uint64_t sig = signature(entry.width, entry.evals[0]);
         return pushEntry(std::move(entry), sig);
     }
 
@@ -548,7 +537,7 @@ class Search
     /** Does `entry` satisfy the constraints on counterexamples
      *  `from` onwards? */
     bool
-    goalMatches(const Entry &entry, size_t from = 0) const
+    goalMatches(const Entry &entry, size_t from) const
     {
         if (entry.width != out_width_)
             return false;
@@ -565,19 +554,9 @@ class Search
     enumerate()
     {
         seedLeaves();
+        // Leaves never win: a bare input or constant is not a program
+        // (it has no instruction), so winners start at depth 1.
         int best = -1;
-        // Leaves may already satisfy the constraints (identity) —
-        // but only a non-empty counterexample set is evidence; a bare
-        // input is not representable as a program, so it must not win
-        // vacuously in pure-symbolic mode.
-        if (!cexs_.empty()) {
-            for (size_t e = 0; e < bank_.size(); ++e)
-                if (goalMatches(bank_[e]) &&
-                    (best < 0 || bank_[e].cost < bank_[best].cost))
-                    best = static_cast<int>(e);
-            if (best >= 0)
-                return best;
-        }
 
         std::map<int, std::vector<int>> by_width;
         for (size_t e = 0; e < bank_.size(); ++e)
@@ -733,7 +712,7 @@ class Search
         // they are only worth keeping as intermediates.
         const bool solution_width = op.out_width == out_width_;
         const bool statically_dead =
-            solution_width && options_.static_prune && !cexs_.empty() &&
+            solution_width && options_.static_prune &&
             !opStaticallyFeasible(op_idx, slot);
         if (statically_dead)
             ++stat_rejected_static_;
@@ -758,15 +737,11 @@ class Search
         // equivalent to an existing entry and never pay for the
         // remaining counterexamples. (Two values that agree on a
         // random vector but differ later are overwhelmingly unlikely.)
-        const BitVector *first = nullptr;
-        if (!cexs_.empty()) {
-            const BitVector *args[kMaxOpOperands];
-            for (size_t a = 0; a < arity; ++a)
-                args[a] = &bank_[operands[a]].evals[0];
-            evalOpBatch(op_idx, slot, args, 1, &first_eval_);
-            first = &first_eval_;
-        }
-        const uint64_t sig = signature(op.out_width, first);
+        const BitVector *args[kMaxOpOperands];
+        for (size_t a = 0; a < arity; ++a)
+            args[a] = &bank_[operands[a]].evals[0];
+        evalOpBatch(op_idx, slot, args, 1, &first_eval_);
+        const uint64_t sig = signature(op.out_width, first_eval_);
         const bool duplicate = sig_map_.count(sig) != 0;
 
         // Decide. A candidate that cannot match dedups like any
@@ -779,14 +754,14 @@ class Search
             ++stat_rejected_;
             return;
         }
-        const bool fails_first = may_match && first && !matchesOn(*first, 0);
+        const bool fails_first = may_match && !matchesOn(first_eval_, 0);
         if (fails_first && (duplicate || bank_full)) {
             ++stat_rejected_;
             return;
         }
 
-        // Build, and evaluate the remaining counterexamples in one
-        // call.
+        // Build, and evaluate the remaining counterexamples (there
+        // are at least the two seeds) in one call.
         Entry entry;
         entry.width = op.out_width;
         entry.op = op_idx;
@@ -794,19 +769,15 @@ class Search
         entry.cost = tree_cost + op.latency;
         entry.depth = depth;
         std::copy(operands, operands + arity, entry.args.begin());
-        if (first) {
-            entry.evals.reserve(cexs_.size());
-            entry.evals.push_back(*first);
-        }
-        if (cexs_.size() > 1) {
-            arg_scratch_.clear();
-            for (size_t c = 1; c < cexs_.size(); ++c)
-                for (size_t a = 0; a < arity; ++a)
-                    arg_scratch_.push_back(&bank_[operands[a]].evals[c]);
-            entry.evals.resize(cexs_.size());
-            evalOpBatch(op_idx, slot, arg_scratch_.data(), cexs_.size() - 1,
-                        &entry.evals[1]);
-        }
+        entry.evals.reserve(cexs_.size());
+        entry.evals.push_back(first_eval_);
+        arg_scratch_.clear();
+        for (size_t c = 1; c < cexs_.size(); ++c)
+            for (size_t a = 0; a < arity; ++a)
+                arg_scratch_.push_back(&bank_[operands[a]].evals[c]);
+        entry.evals.resize(cexs_.size());
+        evalOpBatch(op_idx, slot, arg_scratch_.data(), cexs_.size() - 1,
+                    &entry.evals[1]);
         const bool match = may_match && !fails_first && goalMatches(entry, 1);
         if (!match && (duplicate || bank_full)) {
             ++stat_rejected_;
@@ -1030,9 +1001,8 @@ attempt(const AutoLLVMDict &dict, const std::string &isa,
     result.symbolic_refutations = search.symRefutations();
     result.symbolic_unknowns = search.symUnknowns();
     if (winner < 0) {
-        // The driver escalates budgets only where that can help, so
-        // name the cause: a timeout retries with more budget, an
-        // exhausted space does not.
+        // Name the cause: a deadline cut and an exhausted space are
+        // different fates in the window ledger.
         result.note = search.timedOut() ? "timeout" : "search exhausted";
         return result;
     }
@@ -1044,7 +1014,7 @@ attempt(const AutoLLVMDict &dict, const std::string &isa,
     {
         phases::Scope scope(phases::Phase::ConcreteEval);
         agrees = firstConcreteMismatch(dict, module, window, rng,
-                                       options.verify_vectors) < 0;
+                                       kVerifyVectors) < 0;
     }
     if (!agrees) {
         result.note = "full-width verification failed";
@@ -1083,7 +1053,6 @@ tryWarmSeeds(const AutoLLVMDict &dict, const HExprPtr &window,
         return false;
     const std::vector<int> widths = windowInputWidths(window);
     Rng rng(kSeed ^ 0x5EED);
-    const int vectors = std::max(options.verify_vectors, 4);
     for (const AutoModule &seed : options.warm_seeds) {
         ++result.warm_seeds_tried;
         if (seed.input_widths.size() != widths.size())
@@ -1101,7 +1070,8 @@ tryWarmSeeds(const AutoLLVMDict &dict, const HExprPtr &window,
         {
             phases::Scope scope(phases::Phase::ConcreteEval);
             agrees =
-                firstConcreteMismatch(dict, seed, window, rng, vectors) < 0;
+                firstConcreteMismatch(dict, seed, window, rng,
+                                      kVerifyVectors) < 0;
         }
         if (!agrees)
             continue; // Neighbor solves a different function — normal.
@@ -1247,9 +1217,9 @@ synthesizeWindow(const AutoLLVMDict &dict, const std::string &isa,
     seconds_hist.observe(result.seconds);
 
     if (journal::enabled()) {
-        // The per-attempt CEGIS record; the driver's "window" ledger
-        // aggregates this, but escalated retries mean one window can
-        // run synthesis twice — the journal keeps both attempts.
+        // The per-search CEGIS record (a scaled attempt and its
+        // unscaled retry summed); the driver's "window" ledger
+        // repeats its counters.
         auto fields = bjson::Value::makeObject();
         fields->set("hash", bjson::Value::makeString(
                                 journal::hashHex(HExpr::hashOf(window))));

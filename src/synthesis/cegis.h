@@ -47,11 +47,6 @@ struct SynthesisOptions
     int max_insts = 3;      ///< Maximum output sequence length.
     int window_depth = 5;   ///< Max expression depth per window (§4.2).
     int max_combos = 4000;  ///< Operand-combination cap per op/depth.
-    /** Random vectors per verification. 0 disables random sampling
-     *  (including the seed counterexamples) so the loop is driven
-     *  purely by symbolic counterexamples — only meaningful together
-     *  with `symbolic_verify`. */
-    int verify_vectors = 10;
     double timeout_seconds = 20.0;
     /**
      * Re-validate candidates symbolically (the paper's SMT

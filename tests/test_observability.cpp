@@ -229,7 +229,6 @@ class ObservabilityTest : public ::testing::Test
         unsetenv("HYDRIDE_TRACE");
         unsetenv("HYDRIDE_METRICS");
         unsetenv("HYDRIDE_LOG_LEVEL");
-        unsetenv("HYDRIDE_SYNTH_DEBUG");
         logging::setLevel(logging::Level::Warn);
     }
 };
@@ -473,13 +472,6 @@ TEST_F(ObservabilityTest, LogLevelEnvVarIsApplied)
     EXPECT_EQ(logging::level(), logging::Level::Error);
     EXPECT_FALSE(logging::shouldLog(logging::Level::Warn));
     EXPECT_TRUE(logging::shouldLog(logging::Level::Error));
-
-    // The legacy CEGIS debug switch maps to debug level.
-    unsetenv("HYDRIDE_LOG_LEVEL");
-    setenv("HYDRIDE_SYNTH_DEBUG", "1", 1);
-    logging::configureFromEnv();
-    EXPECT_EQ(logging::level(), logging::Level::Debug);
-    EXPECT_TRUE(logging::shouldLog(logging::Level::Debug));
 }
 
 TEST_F(ObservabilityTest, LogLevelFiltersAndOffSilencesAll)

@@ -246,23 +246,22 @@ TEST(Cegis, StaticPruningPreservesResultAndRejectsCandidates)
 
 TEST(Cegis, SymbolicCounterexampleRejectsWrongCandidate)
 {
-    // Starve the random-verification tier (zero vectors): the first
-    // cost-minimal candidate that agrees on the empty counterexample
-    // set "wins" immediately, and only the symbolic check stands
-    // between it and acceptance. The refutation model must be fed back
-    // as a counterexample until the search lands on a genuinely
-    // equivalent program.
-    Schedule schedule;
-    schedule.vector_bits = 512;
-    Kernel add = buildKernel("add", schedule);
+    // x +sat 1 on unsigned bytes differs from a wrapping x + 1 only in
+    // lanes holding 255, so random vectors can miss the difference:
+    // with the search's fixed seed one wrong candidate passes the
+    // random tier, and only the symbolic check stands between it and
+    // acceptance. Its refutation model must be fed back as a
+    // counterexample until the search lands on a genuinely equivalent
+    // program.
+    const HExprPtr window =
+        hBin(HOp::SatAddU, hInput(0, 8, 16), hConst(1, 8, 16));
     SynthesisOptions options;
-    options.verify_vectors = 0;
     options.scaling = false;
     options.symbolic_verify = true;
-    SynthesisResult result =
-        synthesizeWindow(dict(), "x86", add.windows[0], options);
+    SynthesisResult result = synthesizeWindow(dict(), "arm", window, options);
     ASSERT_TRUE(result.ok) << result.note;
-    EXPECT_GE(result.symbolic_refutations, 1);
+    EXPECT_EQ(result.symbolic_refutations, 1);
+    EXPECT_EQ(result.symbolic_unknowns, 0);
     EXPECT_GE(result.cegis_iterations, 2);
     EXPECT_EQ(result.symbolic_verdict, "proved");
     // The survivor really is correct at full width.
@@ -272,7 +271,29 @@ TEST(Cegis, SymbolicCounterexampleRejectsWrongCandidate)
         for (int w : result.module.input_widths)
             inputs.push_back(BitVector::random(w, rng));
         EXPECT_EQ(result.module.evaluate(dict(), inputs),
-                  evalHalide(add.windows[0], inputs));
+                  evalHalide(window, inputs));
+    }
+}
+
+TEST(Cegis, BareLeafNeverWins)
+{
+    // max(x, 1) and min(x, 0xFFFE) agree with x itself on almost every
+    // random input, so the bare input leaf matches the counterexamples.
+    // It is not a program (it has no instruction), so it must not win:
+    // each window solves with one real instruction.
+    const HExprPtr x = hInput(0, 16, 32);
+    for (const HExprPtr &window :
+         {hBin(HOp::MaxU, x, hConst(1, 16, 32)),
+          hBin(HOp::MinU, x, hConst(0xFFFE, 16, 32))}) {
+        SynthesisResult result = synthesizeWindow(dict(), "x86", window);
+        ASSERT_TRUE(result.ok) << result.note;
+        EXPECT_EQ(result.module.insts.size(), 1u);
+        Rng rng(95);
+        for (int trial = 0; trial < 10; ++trial) {
+            std::vector<BitVector> inputs = {BitVector::random(512, rng)};
+            EXPECT_EQ(result.module.evaluate(dict(), inputs),
+                      evalHalide(window, inputs));
+        }
     }
 }
 
@@ -505,21 +526,13 @@ TEST(Cache, ClearPreservesLifetimeStatistics)
     EXPECT_EQ(cache.lifetimeHits(), 1);
 }
 
-/** The paper's path: one CEGIS search per window, no retry. */
-ResilienceOptions
-paperOptions(double timeout_seconds)
-{
-    ResilienceOptions options;
-    options.synthesis.timeout_seconds = timeout_seconds;
-    options.retry_escalated = false;
-    return options;
-}
-
 TEST(Compiler, FallsBackWhenSynthesisFails)
 {
     // ARM has no 2-way dot product: the compiler must still produce a
     // correct program through macro expansion.
-    ResilientCompiler compiler(dict(), "arm", 128, paperOptions(2.0));
+    ResilienceOptions options;
+    options.synthesis.timeout_seconds = 2.0;
+    ResilientCompiler compiler(dict(), "arm", 128, options);
     ResilientWindow compiled = compiler.compileWindow(matmulWindow(128));
     EXPECT_EQ(compiled.rung, Rung::MacroExpanded);
     EXPECT_FALSE(compiled.program.insts.empty());
@@ -527,7 +540,8 @@ TEST(Compiler, FallsBackWhenSynthesisFails)
 
 TEST(Compiler, SplitsDeepWindows)
 {
-    ResilienceOptions options = paperOptions(2.0);
+    ResilienceOptions options;
+    options.synthesis.timeout_seconds = 2.0;
     options.synthesis.window_depth = 4;
     ResilientCompiler compiler(dict(), "hvx", 1024, options);
     Schedule schedule;

@@ -266,8 +266,8 @@ printWin(const Win &win, const journal::Journal &loaded)
                     detail.c_str());
     std::printf("  time:      %.3f ms wall, %.3f ms cpu\n", win.wall_ms,
                 win.cpu_ms);
-    // Per-attempt synthesis records: escalated retries mean one
-    // window ledger can aggregate several CEGIS attempts.
+    // The synthesis records of this window's shape: every compiler
+    // that searched it (a separate cache each) left one.
     for (const auto &event : loaded.events) {
         if (event->getString("kind", "") != "cegis" ||
             event->getString("hash", "") != win.hash ||

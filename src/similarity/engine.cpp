@@ -5,6 +5,7 @@
 #include "similarity/extraction.h"
 #include "support/error.h"
 #include "support/faults.h"
+#include "support/parallel.h"
 #include "support/rng.h"
 #include "support/strings.h"
 
@@ -203,6 +204,10 @@ runSimilarityEngine(const std::vector<CanonicalSemantics> &insts,
 
     // Pass 1: extract constants and group structurally identical
     // symbolic semantics (PerformEqChecking over representatives).
+    // It stays sequential and streams one form at a time, since most
+    // forms merge and are dropped at once: extracting in parallel
+    // chunks saved ~10 ms but raised perfbench's peak RSS by ~0.7 MB
+    // (DESIGN.md, "Front half").
     std::vector<EquivalenceClass> classes;
     std::unordered_map<uint64_t, std::vector<size_t>> by_hash;
     for (const auto &concrete : insts) {
@@ -253,18 +258,27 @@ runSimilarityEngine(const std::vector<CanonicalSemantics> &insts,
                 const size_t nargs = classes[b].rep.bv_args.size();
                 if (nargs < 2 || nargs > 4)
                     continue;
+                // The permuted symbolic form of b's first member depends
+                // only on (b, perm): extract it once, the first time a
+                // comparison needs it. Permutations are visited in the
+                // same order for every a, so entry r is the r-th one.
+                std::vector<CanonicalSemantics> permuted_forms;
                 for (size_t ai = 0; ai < bi && !dead[b]; ++ai) {
                     const size_t a = bucket[ai];
                     if (dead[a])
                         continue;
                     std::vector<int> perm = identityPerm(nargs);
-                    while (std::next_permutation(perm.begin(), perm.end())) {
+                    for (size_t r = 0;
+                         std::next_permutation(perm.begin(), perm.end());
+                         ++r) {
                         ++stats->pairs_checked;
-                        CanonicalSemantics permuted = extractConstants(
-                            permuteArgs(classes[b].members[0].concrete,
-                                        perm));
-                        if (!CanonicalSemantics::sameShape(classes[a].rep,
-                                                           permuted)) {
+                        if (r == permuted_forms.size()) {
+                            permuted_forms.push_back(extractConstants(
+                                permuteArgs(classes[b].members[0].concrete,
+                                            perm)));
+                        }
+                        if (!CanonicalSemantics::sameShape(
+                                classes[a].rep, permuted_forms[r])) {
                             continue;
                         }
                         // Merge every member of b into a under `perm`.
@@ -293,15 +307,29 @@ runSimilarityEngine(const std::vector<CanonicalSemantics> &insts,
     }
 
     // Pass 3: verify every membership; members that fail verification
-    // are split into singleton classes (conservative fallback).
+    // are split into singleton classes (conservative fallback). The
+    // checks run in parallel; the fault site and the splits run in
+    // class order.
+    std::vector<std::pair<const EquivalenceClass *, const ClassMember *>>
+        memberships;
+    for (const auto &cls : classes)
+        for (const auto &member : cls.members)
+            memberships.emplace_back(&cls, &member);
+    std::vector<uint8_t> passed(memberships.size());
+    parallelFor(memberships.size(), [&](size_t i) {
+        passed[i] = verifyMember(memberships[i].first->rep,
+                                 *memberships[i].second);
+    });
     std::vector<EquivalenceClass> split_out;
+    size_t next_membership = 0;
     for (auto &cls : classes) {
         std::vector<ClassMember> verified;
         for (auto &member : cls.members) {
+            const bool member_passed = passed[next_membership++];
             // Chaos seam: a forced verification failure exercises the
             // conservative singleton-split fallback for this member.
             if (!faults::shouldFail("similarity.verify", member.name) &&
-                verifyMember(cls.rep, member)) {
+                member_passed) {
                 verified.push_back(std::move(member));
             } else {
                 ++stats->verification_failures;

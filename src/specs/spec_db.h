@@ -31,10 +31,21 @@ const std::vector<std::string> &builtinIsas();
 /** Vendor manual for an ISA (generated; cached). */
 const IsaSpec &isaManual(const std::string &isa);
 
-/** Parse one instruction of `isa` with that ISA's dialect parser. */
+/** Parse one instruction of `isa` with that ISA's dialect parser
+ *  (behind the `parser.malformed` fault seam). */
 SpecFunction parseInst(const std::string &isa, const InstDef &inst);
 
-/** Canonicalized semantics of every instruction of `isa` (cached). */
+/**
+ * Build the canonicalized semantics of every instruction of `isa`,
+ * uncached. Parsing, canonicalization and load-time verification run
+ * on parallelFor workers; the fault sites (`parser.malformed`,
+ * `specdb.corrupt`), skip warnings and counters run afterwards in
+ * manual order, so the result and the instructions a fault picks do
+ * not depend on scheduling.
+ */
+IsaSemantics parseIsaSemantics(const std::string &isa);
+
+/** parseIsaSemantics(isa), built once per process (cached). */
 const IsaSemantics &isaSemantics(const std::string &isa);
 
 /** Concatenated semantics of several ISAs. */

@@ -1,19 +1,27 @@
 /**
  * @file
- * Unit tests for the support utilities: strings, RNG, tables, and
- * the EINTR-safe filesystem primitives (support/fsio.h) under the
- * durable store.
+ * Unit tests for the support utilities: strings, RNG, tables, the
+ * EINTR-safe filesystem primitives (support/fsio.h) under the durable
+ * store, and the spawn-and-join parallelFor (support/parallel.h).
  */
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <atomic>
+#include <chrono>
+#include <filesystem>
 #include <fstream>
 #include <sstream>
+#include <stdexcept>
 #include <string>
+#include <thread>
+#include <vector>
 
 #include <fcntl.h>
 #include <unistd.h>
 
 #include "support/fsio.h"
+#include "support/parallel.h"
 #include "support/rng.h"
 #include "support/strings.h"
 #include "support/table.h"
@@ -193,6 +201,64 @@ TEST(Fsio, WriteFileAtomicPublishesAndLeavesNoTemp)
     EXPECT_LT(fsio::openRetry(temp.c_str(), O_RDONLY), 0);
     EXPECT_TRUE(fsio::fsyncDir("/tmp"));
     std::remove(path.c_str());
+}
+
+/** Threads of this process right now. */
+size_t
+liveThreads()
+{
+    size_t n = 0;
+    for (const auto &entry :
+         std::filesystem::directory_iterator("/proc/self/task")) {
+        (void)entry;
+        ++n;
+    }
+    return n;
+}
+
+TEST(Parallel, EveryIndexRunsExactlyOnce)
+{
+    for (size_t n : {size_t{0}, size_t{1}, size_t{3}, size_t{10000}}) {
+        std::vector<std::atomic<int>> runs(n);
+        parallelFor(n, [&](size_t i) { runs[i].fetch_add(1); });
+        for (size_t i = 0; i < n; ++i)
+            ASSERT_EQ(runs[i].load(), 1) << "n=" << n << " index " << i;
+    }
+}
+
+TEST(Parallel, RethrowsTheLowestThrowingIndexAfterTheJoin)
+{
+    constexpr size_t n = 1000;
+    std::atomic<size_t> finished{0};
+    try {
+        parallelFor(n, [&](size_t i) {
+            if (i == 300 || i == 700)
+                throw std::runtime_error(std::to_string(i));
+            finished.fetch_add(1);
+        });
+        FAIL() << "parallelFor swallowed the exceptions";
+    } catch (const std::runtime_error &error) {
+        EXPECT_STREQ(error.what(), "300");
+        // Every other index ran to completion before the rethrow.
+        EXPECT_EQ(finished.load(), n - 2);
+    }
+}
+
+TEST(Parallel, NoThreadOutlivesTheCall)
+{
+    const size_t before = liveThreads();
+    std::atomic<size_t> most{0};
+    parallelFor(64, [&](size_t) {
+        std::this_thread::sleep_for(std::chrono::milliseconds(1));
+        const size_t now = liveThreads();
+        size_t seen = most.load();
+        while (now > seen && !most.compare_exchange_weak(seen, now))
+            continue;
+    });
+    EXPECT_EQ(liveThreads(), before);
+    if (std::thread::hardware_concurrency() > 1) {
+        EXPECT_GT(most.load(), before) << "the loop never ran in parallel";
+    }
 }
 
 } // namespace

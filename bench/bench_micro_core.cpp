@@ -3,8 +3,9 @@
  * google-benchmark micro-benchmarks for Hydride's core components:
  * bitvector arithmetic, semantics interpretation and its compiled lane
  * kernel, pseudocode parsing + canonicalization, constant extraction,
- * similarity grouping, end-to-end window synthesis, and the symbolic
- * re-proof of a store hit. These quantify the substrate costs behind
+ * similarity grouping, end-to-end window synthesis, concrete Halide
+ * window and AutoLLVM module evaluation, and the symbolic re-proof of
+ * a store hit. These quantify the substrate costs behind
  * the table/figure harnesses.
  */
 #include <benchmark/benchmark.h>
@@ -183,8 +184,78 @@ BM_CegisExhaustedWindow(benchmark::State &state)
 BENCHMARK(BM_CegisExhaustedWindow)->Unit(benchmark::kMillisecond);
 
 /**
- * The symbolic re-proof a durable-store hit gets: x86 matmul_bias's
- * window 0 (a 16 x i32 `a + sum b*c` solved by `_mm512_dpwssd_epi32`)
+ * x86 matmul_bias's window 0 (a 16 x i32 `a + sum b*c`) and the module
+ * CEGIS synthesizes for it (`_mm512_dpwssd_epi32`), built once.
+ */
+struct Dot2AccCase
+{
+    HExprPtr window;
+    SynthesisOptions options;
+    SynthesisResult synth;
+};
+
+const Dot2AccCase &
+dot2Acc()
+{
+    static const Dot2AccCase c = [] {
+        Dot2AccCase out;
+        Schedule schedule;
+        schedule.vector_bits = 512;
+        out.window = buildKernel("matmul_bias", schedule).windows[0];
+        out.options.timeout_seconds = 600.0; // The search ends on its own.
+        out.synth = synthesizeWindow(dict(), "x86", out.window, out.options);
+        return out;
+    }();
+    return c;
+}
+
+/** Eight random input vectors for the dot2acc window. */
+std::vector<std::vector<BitVector>>
+dot2AccInputs()
+{
+    Rng rng(5);
+    std::vector<std::vector<BitVector>> sets(8);
+    for (auto &inputs : sets)
+        for (int width : dot2Acc().synth.module.input_widths)
+            inputs.push_back(BitVector::random(width, rng));
+    return sets;
+}
+
+/** The Halide window walker on concrete inputs: the specification side
+ *  of every CEGIS counterexample check and store re-validation. */
+void
+BM_HalideWindowEval(benchmark::State &state)
+{
+    if (!dot2Acc().synth.ok) {
+        state.SkipWithError("matmul_bias window 0 did not synthesize");
+        return;
+    }
+    const auto sets = dot2AccInputs();
+    for (auto _ : state)
+        for (const auto &inputs : sets)
+            benchmark::DoNotOptimize(evalHalide(dot2Acc().window, inputs));
+}
+BENCHMARK(BM_HalideWindowEval);
+
+/** The synthesized module on the same inputs, through the AutoLLVM
+ *  module walker (the representative view). */
+void
+BM_ModuleEval(benchmark::State &state)
+{
+    const Dot2AccCase &c = dot2Acc();
+    if (!c.synth.ok) {
+        state.SkipWithError("matmul_bias window 0 did not synthesize");
+        return;
+    }
+    const auto sets = dot2AccInputs();
+    for (auto _ : state)
+        for (const auto &inputs : sets)
+            benchmark::DoNotOptimize(c.synth.module.evaluate(dict(), inputs));
+}
+BENCHMARK(BM_ModuleEval);
+
+/**
+ * The symbolic re-proof a durable-store hit gets: the dot2acc window
  * against its synthesized module. Both sides bit-blast to one large
  * AIG of 32-bit multipliers that hashes to a constant-false miter, so
  * this times AIG construction, not SAT.
@@ -192,21 +263,15 @@ BENCHMARK(BM_CegisExhaustedWindow)->Unit(benchmark::kMillisecond);
 void
 BM_StoreReproofDot2Acc(benchmark::State &state)
 {
-    Schedule schedule;
-    schedule.vector_bits = 512;
-    const HExprPtr window = buildKernel("matmul_bias", schedule).windows[0];
-    SynthesisOptions options;
-    options.timeout_seconds = 600.0; // The search ends on its own.
-    const SynthesisResult synth =
-        synthesizeWindow(dict(), "x86", window, options);
-    if (!synth.ok) {
-        state.SkipWithError(("not synthesized: " + synth.note).c_str());
+    const Dot2AccCase &c = dot2Acc();
+    if (!c.synth.ok) {
+        state.SkipWithError(("not synthesized: " + c.synth.note).c_str());
         return;
     }
     sym::EqResult eq;
     for (auto _ : state) {
-        eq = sym::checkModuleEquiv(dict(), synth.module, window,
-                                   options.symbolic_budget);
+        eq = sym::checkModuleEquiv(dict(), c.synth.module, c.window,
+                                   c.options.symbolic_budget);
         benchmark::DoNotOptimize(eq);
         if (eq.verdict != sym::Verdict::Proved || eq.method != "structural") {
             state.SkipWithError(("not proved structurally: " + eq.method +

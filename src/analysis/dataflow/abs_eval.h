@@ -2,8 +2,8 @@
  * @file
  * Total abstract evaluation of template expressions.
  *
- * The sym_eval walkers (evalBVDom) assert on malformed input because
- * they run after verification.  The verifier itself needs the
+ * The IR evaluators (evalBVDom, hir/eval.h) assert on malformed
+ * input because they run after verification.  The verifier needs the
  * opposite: a walker that never throws, degrades to "no information"
  * (std::nullopt) on anything it cannot analyze, and reports every
  * node's abstract value to a visitor so UB/RA rules can attach
@@ -11,7 +11,9 @@
  * (interval x known-bits) over one BV-typed hir::Expr with loop
  * variables ranging over whole lane intervals (int_range.h), which
  * is how one evaluation covers the *full* lane space that the old
- * per-lane enumeration sampled under a cap.
+ * per-lane enumeration sampled under a cap.  It stays a walker of its
+ * own: ranged Int positions, lane-varying extracts, visitors and
+ * totality would make evalBVDom branch on its caller.
  */
 #ifndef HYDRIDE_ANALYSIS_DATAFLOW_ABS_EVAL_H
 #define HYDRIDE_ANALYSIS_DATAFLOW_ABS_EVAL_H

@@ -2,11 +2,13 @@
  * @file
  * The AbstractDomain interface of the dataflow framework.
  *
- * Hydride's abstract interpreters are the *generic evaluators* in
- * analysis/symbolic/sym_eval.h: evalBVDom walks one hir::Expr and
- * evalSemanticsDom runs a whole canonical-semantics loop nest, both
- * parameterized over a pluggable Domain.  A plain evaluation Domain
- * (AigDomain) only needs the operations those walkers call; an
+ * Hydride's abstract interpreters are the one evaluator per IR,
+ * templated on a pluggable Domain: evalBVDom walks one hir::Expr and
+ * evalSemanticsDom runs a whole canonical-semantics loop nest
+ * (hir/eval.h); evalHalideDom, evalModuleDom and evalTargetHWDom
+ * walk Halide windows, AutoLLVM modules and target programs.  A plain
+ * evaluation Domain (BitVectorDomain, AigDomain) only needs the
+ * operations those walkers call (listed in hir/eval.h); an
  * *abstract* domain — one whose Values denote sets of concrete
  * bitvectors — additionally provides the lattice surface below so
  * clients can start from no information, merge control-flow paths,
@@ -29,10 +31,10 @@
  *   - KnownBitsDomain (sym_eval.h)  — per-bit known/unknown facts
  *   - ProductDomain   (product.h)   — reduced product of the two
  *
- * To add a domain: implement the sym_eval Domain concept plus the
- * three lattice operations, then extend the differential fuzz test
- * so the soundness contract is machine-checked.  docs/static_analysis.md
- * has a worked guide.
+ * To add a domain: implement the Domain operations of hir/eval.h
+ * plus the three lattice operations, then extend the differential
+ * fuzz test so the soundness contract is machine-checked.
+ * docs/static_analysis.md has a worked guide.
  */
 #ifndef HYDRIDE_ANALYSIS_DATAFLOW_DOMAIN_H
 #define HYDRIDE_ANALYSIS_DATAFLOW_DOMAIN_H

@@ -16,8 +16,8 @@
  * boundary (lo non-negative, hi negative) gives no signed
  * information.
  *
- * IntervalDomain plugs the type into the sym_eval Domain concept so
- * the generic evaluators (evalBVDom / evalSemanticsDom) can run
+ * IntervalDomain plugs the type into the Domain concept of the IR
+ * evaluators (hir/eval.h: evalBVDom / evalSemanticsDom) so they can run
  * whole-instruction range analysis; it additionally provides
  * top/join/contains, the AbstractDomain surface used by the reduced
  * product (product.h) and the verifier (abs_eval.h).

@@ -9,6 +9,7 @@
 
 #include <algorithm>
 #include <chrono>
+#include <type_traits>
 
 namespace hydride {
 namespace sym {
@@ -327,7 +328,7 @@ checkEquiv(const BVFun &a, const BVFun &b, const EqBudget &budget)
 
 namespace {
 
-/** Wire a SemanticsSide into the three BVFun callbacks. */
+/** Wire a SemanticsSide into the BVFun callbacks. */
 BVFun
 semanticsFun(const SemanticsSide &side, const std::vector<int> &input_widths)
 {
@@ -341,42 +342,15 @@ semanticsFun(const SemanticsSide &side, const std::vector<int> &input_widths)
     HYD_ASSERT(arg_map.size() == sem->bv_args.size(),
                "semantics arg_map size mismatch for " + sem->name);
 
-    BVFun fun;
-    fun.arg_widths = input_widths;
-    const std::vector<int64_t> params = side.param_values;
-    const std::vector<int64_t> int_args = side.int_arg_values;
-
-    fun.concrete = [sem, params, int_args,
-                    arg_map](const std::vector<BitVector> &inputs) {
-        std::vector<BitVector> args(arg_map.size(), BitVector(1));
-        for (size_t k = 0; k < arg_map.size(); ++k)
-            args[k] = inputs[arg_map[k]];
-        return sem->evaluate(args, params, int_args);
-    };
-    fun.symbolic = [sem, params, int_args,
-                    arg_map](AigDomain &dom, const std::vector<SymVec> &inputs) {
-        std::vector<SymVec> args(arg_map.size());
-        for (size_t k = 0; k < arg_map.size(); ++k)
-            args[k] = inputs[arg_map[k]];
-        return evalSemanticsDom(dom, *sem, args, params, int_args);
-    };
-    fun.knownbits = [sem, params, int_args,
-                     arg_map](KnownBitsDomain &dom,
-                              const std::vector<KnownBits> &inputs) {
-        std::vector<KnownBits> args(arg_map.size());
-        for (size_t k = 0; k < arg_map.size(); ++k)
-            args[k] = inputs[arg_map[k]];
-        return evalSemanticsDom(dom, *sem, args, params, int_args);
-    };
-    fun.intervals = [sem, params, int_args,
-                     arg_map](dataflow::IntervalDomain &dom,
-                              const std::vector<dataflow::Interval> &inputs) {
-        std::vector<dataflow::Interval> args(arg_map.size());
-        for (size_t k = 0; k < arg_map.size(); ++k)
-            args[k] = inputs[arg_map[k]];
-        return evalSemanticsDom(dom, *sem, args, params, int_args);
-    };
-    return fun;
+    return domainFun(
+        input_widths,
+        [sem, params = side.param_values, int_args = side.int_arg_values,
+         arg_map](auto &dom, const auto &inputs) {
+            std::decay_t<decltype(inputs)> args(arg_map.size());
+            for (size_t k = 0; k < arg_map.size(); ++k)
+                args[k] = inputs[arg_map[k]];
+            return evalSemanticsDom(dom, *sem, args, params, int_args);
+        });
 }
 
 } // namespace

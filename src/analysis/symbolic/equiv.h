@@ -41,6 +41,7 @@
 
 #include <functional>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "analysis/dataflow/interval.h"
@@ -82,10 +83,10 @@ struct EqResult
  * One side of a query: a bitvector function given four ways — the
  * concrete reference (used for model validation), the bit-blasting
  * evaluation, and the known-bits and interval abstract evaluations.
- * All must implement the *same* function; the callbacks typically
- * share one evaluator templated on the domain (sym_eval.h), which
- * makes that structural. `knownbits` and `intervals` are optional:
- * a null callback skips that abstract tier.
+ * All must implement the *same* function; `domainFun` makes that
+ * structural by instantiating one domain-templated evaluator four
+ * times. `knownbits` and `intervals` are optional: a null callback
+ * skips that abstract tier.
  */
 struct BVFun
 {
@@ -98,6 +99,27 @@ struct BVFun
                                      const std::vector<dataflow::Interval> &)>
         intervals;
 };
+
+/**
+ * The BVFun whose callbacks all run `eval(dom, inputs)`, a generic
+ * lambda over the domain: on BitVectorDomain (hir/eval.h), AigDomain,
+ * KnownBitsDomain and IntervalDomain.
+ */
+template <typename Eval>
+BVFun
+domainFun(std::vector<int> arg_widths, const Eval &eval)
+{
+    BVFun fun;
+    fun.arg_widths = std::move(arg_widths);
+    fun.concrete = [eval](const std::vector<BitVector> &inputs) {
+        BitVectorDomain dom;
+        return eval(dom, inputs);
+    };
+    fun.symbolic = eval;
+    fun.knownbits = eval;
+    fun.intervals = eval;
+    return fun;
+}
 
 /** Decide whether `a` and `b` agree on every input. */
 EqResult checkEquiv(const BVFun &a, const BVFun &b, const EqBudget &budget);

@@ -4,15 +4,10 @@
  * programs, and Halide-level windows, all reduced to the core
  * checkEquiv tiers (equiv.h).
  *
- * Two distinct evaluation views matter here:
- *
- *  - *Representative view*: an AutoLLVM instruction executes the
- *    class representative's parameterized semantics with the member's
- *    parameter assignment — what `AutoLLVMDict::run` does.
- *  - *Hardware view*: a lowered target instruction executes the
- *    member's *own* concrete vendor semantics with the member's
- *    original argument order (undoing the class argument
- *    permutation).
+ * Two evaluation views matter here (codegen/eval.h): the
+ * *representative view* runs the class representative under the
+ * member's parameters, and the *hardware view* runs the member's own
+ * vendor semantics in its original argument order.
  *
  * EQ02 compares the two views across a lowering (checkLoweringEquiv):
  * a similarity-class merge or permutation bug makes the views
@@ -27,19 +22,12 @@
 #define HYDRIDE_ANALYSIS_SYMBOLIC_IR_EQUIV_H
 
 #include "analysis/symbolic/equiv.h"
-#include "autollvm/module.h"
+#include "autollvm/eval.h"
 #include "codegen/lowering.h"
 #include "halide/hexpr.h"
 
 namespace hydride {
 namespace sym {
-
-/**
- * Parameter values per module instruction, standing in for each
- * instruction's member values. CEGIS evaluates a lane-scaled candidate
- * under its grammar ops' scaled parameters, which no member carries.
- */
-using InstParams = std::vector<std::vector<int64_t>>;
 
 /** EQ04 / CEGIS: synthesized module vs. its specification window.
  *  Empty `inst_params` = the representative view with member values. */

@@ -292,16 +292,10 @@ KnownBitsDomain::binOp(BVBinOp op, const KnownBits &a, const KnownBits &b) const
       case BVBinOp::Or: return kbOr(a, b);
       case BVBinOp::Xor: return kbXor(a, b);
       case BVBinOp::Shl:
-        if (b.fullyKnown())
-            return kbShl(a, shiftAmountOf(b.concreteValue()));
-        break;
       case BVBinOp::LShr:
-        if (b.fullyKnown())
-            return kbLShr(a, shiftAmountOf(b.concreteValue()));
-        break;
       case BVBinOp::AShr:
         if (b.fullyKnown())
-            return kbAShr(a, shiftAmountOf(b.concreteValue()));
+            return shiftConst(op, a, shiftAmountOf(b.concreteValue()));
         break;
       default:
         break;
@@ -320,17 +314,14 @@ KnownBitsDomain::unOp(BVUnOp op, const KnownBits &a) const
     switch (op) {
       case BVUnOp::Not: return kbNot(a);
       case BVUnOp::Neg: return kbNeg(a);
-      case BVUnOp::AbsS:
-        if (a.fullyKnown())
-            return KnownBits::constant(a.concreteValue().absS());
-        return KnownBits::top(a.width());
-      case BVUnOp::Popcount:
-        if (a.fullyKnown())
-            return KnownBits::constant(a.concreteValue().popcount());
-        return KnownBits::top(a.width());
+      default:
+        break;
     }
-    HYD_ASSERT(false, "unknown BVUnOp in known-bits evaluation");
-    return KnownBits();
+    // AbsS, Popcount: exact when fully known, top otherwise.
+    if (a.fullyKnown())
+        return KnownBits::constant(
+            BitVectorDomain().unOp(op, a.concreteValue()));
+    return KnownBits::top(a.width());
 }
 
 KnownBits
@@ -340,17 +331,14 @@ KnownBitsDomain::cast(BVCastOp op, const KnownBits &a, int width) const
       case BVCastOp::SExt: return kbSext(a, width);
       case BVCastOp::ZExt: return kbZext(a, width);
       case BVCastOp::Trunc: return kbTrunc(a, width);
-      case BVCastOp::SatNarrowS:
-        if (a.fullyKnown())
-            return KnownBits::constant(a.concreteValue().satNarrowS(width));
-        return KnownBits::top(width);
-      case BVCastOp::SatNarrowU:
-        if (a.fullyKnown())
-            return KnownBits::constant(a.concreteValue().satNarrowU(width));
-        return KnownBits::top(width);
+      default:
+        break;
     }
-    HYD_ASSERT(false, "unknown BVCastOp in known-bits evaluation");
-    return KnownBits();
+    // Saturating narrows: exact when fully known, top otherwise.
+    if (a.fullyKnown())
+        return KnownBits::constant(
+            BitVectorDomain().cast(op, a.concreteValue(), width));
+    return KnownBits::top(width);
 }
 
 KnownBits

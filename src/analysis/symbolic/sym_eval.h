@@ -1,29 +1,14 @@
 /**
  * @file
- * Symbolic evaluation of Hydride IR over pluggable abstract domains.
+ * The symbolic value domains of the Hydride IR evaluator.
  *
- * `evalBVDom` is the symbolic twin of `evalBV` (hir/expr.cpp): same
- * node dispatch, same width assertions, same integer sub-expression
- * handling (Int-typed operands — widths, indices, loop bounds — are
- * always *concrete* and evaluated with the ordinary `evalInt`; only
- * BV-typed dataflow becomes symbolic). It is templated on a Domain so
- * the known-bits tier and the AIG bit-blasting tier share one
- * evaluator and cannot diverge structurally.
- *
- * `evalSemanticsDom` mirrors `CanonicalSemantics::evaluate` the same
- * way, using the shared `templateFor(i, j)` selection hook.
- *
- * One deliberate semantic difference: concrete Select evaluation is
- * lazy (only the taken branch runs), while symbolic evaluation must
- * in general evaluate both branches and mux. When the condition folds
- * to a constant the evaluator takes only that branch — vendor
- * pseudocode routinely guards out-of-range extracts behind
- * lane-index comparisons that are concrete once loop variables are
- * bound (alignr/vext are the canonical case), and expanding the dead
- * branch would raise a spurious evaluation error. If the untaken
- * branch of a genuinely *symbolic* condition raises one, the query
- * throws where a concrete run would not — the equivalence checker
- * catches AssertionError and reports `unknown`, which is sound.
+ * Hydride IR has one evaluator, `evalBVDom` / `evalSemanticsDom`
+ * (hir/eval.h), templated on the value domain. This header supplies
+ * two of its domains: `AigDomain` bit-blasts into an and-inverter
+ * graph (the structural and SAT tiers) and `KnownBitsDomain` tracks
+ * per-bit known/unknown facts (the cheap refutation tier). Both run
+ * the same walker as the concrete interpreter, so no tier can drift
+ * from the semantics synthesis executes.
  */
 #ifndef HYDRIDE_ANALYSIS_SYMBOLIC_SYM_EVAL_H
 #define HYDRIDE_ANALYSIS_SYMBOLIC_SYM_EVAL_H
@@ -33,8 +18,7 @@
 
 #include "analysis/symbolic/bitblast.h"
 #include "analysis/symbolic/knownbits.h"
-#include "hir/semantics.h"
-#include "support/error.h"
+#include "hir/eval.h"
 
 namespace hydride {
 namespace sym {
@@ -153,127 +137,6 @@ class KnownBitsDomain
         return v.contains(c);
     }
 };
-
-/** Environment: symbolic BV arguments + concrete integer state. */
-template <typename Domain>
-struct DomEnv
-{
-    const std::vector<typename Domain::Value> *bv_args = nullptr;
-    /** Concrete environment for Int-typed sub-expressions (its own
-     *  bv_args member stays null; evalInt never touches BV state). */
-    EvalEnv ints;
-};
-
-template <typename Domain>
-typename Domain::Value
-evalBVDom(Domain &dom, const ExprPtr &expr, const DomEnv<Domain> &env)
-{
-    using Value = typename Domain::Value;
-    switch (expr->kind) {
-      case ExprKind::ArgBV: {
-        HYD_ASSERT(env.bv_args &&
-                   expr->value < static_cast<int64_t>(env.bv_args->size()),
-                   "bitvector argument missing during symbolic evaluation");
-        return (*env.bv_args)[expr->value];
-      }
-      case ExprKind::BVConst: {
-        const int width = static_cast<int>(evalInt(expr->kids[0], env.ints));
-        const int64_t value = evalInt(expr->kids[1], env.ints);
-        return dom.constant(BitVector::fromInt(width, value));
-      }
-      case ExprKind::BVBin: {
-        const Value a = evalBVDom(dom, expr->kids[0], env);
-        const Value b = evalBVDom(dom, expr->kids[1], env);
-        HYD_ASSERT(dom.widthOf(a) == dom.widthOf(b),
-                   "bvBin operand width mismatch during symbolic evaluation");
-        return dom.binOp(static_cast<BVBinOp>(expr->value), a, b);
-      }
-      case ExprKind::BVUn:
-        return dom.unOp(static_cast<BVUnOp>(expr->value),
-                        evalBVDom(dom, expr->kids[0], env));
-      case ExprKind::BVCast: {
-        const Value a = evalBVDom(dom, expr->kids[0], env);
-        const int width = static_cast<int>(evalInt(expr->kids[1], env.ints));
-        return dom.cast(static_cast<BVCastOp>(expr->value), a, width);
-      }
-      case ExprKind::Extract: {
-        const Value a = evalBVDom(dom, expr->kids[0], env);
-        const int low = static_cast<int>(evalInt(expr->kids[1], env.ints));
-        const int width = static_cast<int>(evalInt(expr->kids[2], env.ints));
-        return dom.extract(a, low, width);
-      }
-      case ExprKind::Concat: {
-        const Value high = evalBVDom(dom, expr->kids[0], env);
-        const Value low = evalBVDom(dom, expr->kids[1], env);
-        return dom.concat(high, low);
-      }
-      case ExprKind::BVCmp: {
-        const Value a = evalBVDom(dom, expr->kids[0], env);
-        const Value b = evalBVDom(dom, expr->kids[1], env);
-        HYD_ASSERT(dom.widthOf(a) == dom.widthOf(b),
-                   "bvCmp operand width mismatch during symbolic evaluation");
-        return dom.cmp(static_cast<BVCmpOp>(expr->value), a, b);
-      }
-      case ExprKind::Select: {
-        const Value cond = evalBVDom(dom, expr->kids[0], env);
-        // Mirror concrete laziness when the condition is decided:
-        // dead branches may be genuinely unevaluable (range guards).
-        const int taken = dom.knownBool(cond);
-        if (taken >= 0)
-            return evalBVDom(dom, expr->kids[taken ? 1 : 2], env);
-        const Value t = evalBVDom(dom, expr->kids[1], env);
-        const Value e = evalBVDom(dom, expr->kids[2], env);
-        return dom.select(cond, t, e);
-      }
-      case ExprKind::Hole:
-        HYD_ASSERT(false, "symbolic evaluation of an unfilled hole");
-      default:
-        HYD_ASSERT(false, "evalBVDom on an Int-typed node");
-    }
-    // Unreachable; HYD_ASSERT(false, ...) throws.
-    return Value();
-}
-
-/**
- * Symbolic twin of CanonicalSemantics::evaluate: same loop nest, same
- * template selection (templateFor), same element width check.
- */
-template <typename Domain>
-typename Domain::Value
-evalSemanticsDom(Domain &dom, const CanonicalSemantics &sem,
-                 const std::vector<typename Domain::Value> &args,
-                 const std::vector<int64_t> &param_values,
-                 const std::vector<int64_t> &int_arg_values = {})
-{
-    HYD_ASSERT(int_arg_values.size() == sem.int_args.size(),
-               "integer argument count mismatch for " + sem.name);
-    DomEnv<Domain> env;
-    env.bv_args = &args;
-    env.ints.param_values = &param_values;
-    for (size_t i = 0; i < sem.int_args.size(); ++i)
-        env.ints.named[sem.int_args[i]] = int_arg_values[i];
-
-    const int64_t outer = evalInt(sem.outer_count, env.ints);
-    const int64_t inner = evalInt(sem.inner_count, env.ints);
-    const int width = static_cast<int>(evalInt(sem.elem_width, env.ints));
-    HYD_ASSERT(outer >= 1 && inner >= 1 && width >= 1,
-               "degenerate canonical loop bounds");
-
-    typename Domain::Value out =
-        dom.makeZero(static_cast<int>(outer * inner * width));
-    for (int64_t i = 0; i < outer; ++i) {
-        for (int64_t j = 0; j < inner; ++j) {
-            env.ints.loop_i = i;
-            env.ints.loop_j = j;
-            const typename Domain::Value elem =
-                evalBVDom(dom, sem.templateFor(i, j), env);
-            HYD_ASSERT(dom.widthOf(elem) == width,
-                       "template produced mis-sized element in " + sem.name);
-            dom.setSlice(out, static_cast<int>((i * inner + j) * width), elem);
-        }
-    }
-    return out;
-}
 
 } // namespace sym
 } // namespace hydride

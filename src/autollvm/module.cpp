@@ -1,5 +1,6 @@
 #include "autollvm/module.h"
 
+#include "autollvm/eval.h"
 #include "support/error.h"
 #include "support/strings.h"
 
@@ -11,34 +12,8 @@ BitVector
 AutoModule::evaluate(const AutoLLVMDict &dict,
                      const std::vector<BitVector> &inputs) const
 {
-    HYD_ASSERT(inputs.size() == input_widths.size(),
-               "module input arity mismatch");
-    HYD_ASSERT(!insts.empty(), "empty AutoLLVM module");
-    std::vector<BitVector> values;
-    values.reserve(insts.size());
-    for (const auto &inst : insts) {
-        std::vector<BitVector> args;
-        args.reserve(inst.args.size());
-        for (const auto &ref : inst.args) {
-            if (ref.kind == ValueRef::Input) {
-                HYD_ASSERT(ref.index <
-                               static_cast<int>(inputs.size()),
-                           "input reference out of range");
-                args.push_back(inputs[ref.index]);
-            } else if (ref.kind == ValueRef::Const) {
-                HYD_ASSERT(ref.index < static_cast<int>(constants.size()),
-                           "constant reference out of range");
-                args.push_back(constants[ref.index]);
-            } else {
-                HYD_ASSERT(ref.index < static_cast<int>(values.size()),
-                           "forward instruction reference");
-                args.push_back(values[ref.index]);
-            }
-        }
-        values.push_back(dict.run(inst.op, args, inst.int_args));
-    }
-    const int out = result < 0 ? static_cast<int>(insts.size()) - 1 : result;
-    return values[out];
+    BitVectorDomain dom;
+    return evalModuleDom(dom, dict, *this, {}, inputs);
 }
 
 int

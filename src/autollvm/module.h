@@ -51,7 +51,8 @@ struct AutoModule
     /** Index of the instruction producing the result (last if -1). */
     int result = -1;
 
-    /** Execute the program on concrete inputs. */
+    /** Execute the program on concrete inputs: evalModuleDom
+     *  (autollvm/eval.h) over BitVectorDomain, member parameters. */
     BitVector evaluate(const AutoLLVMDict &dict,
                        const std::vector<BitVector> &inputs) const;
 

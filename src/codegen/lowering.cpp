@@ -1,5 +1,6 @@
 #include "codegen/lowering.h"
 
+#include "codegen/eval.h"
 #include "observability/journal/journal.h"
 #include "observability/trace.h"
 #include "support/error.h"
@@ -23,36 +24,12 @@ BitVector
 TargetProgram::evaluate(const AutoLLVMDict &dict,
                         const std::vector<BitVector> &inputs) const
 {
-    std::vector<BitVector> values;
-    values.reserve(insts.size());
-    for (const auto &inst : insts) {
-        std::vector<BitVector> args;
-        for (const auto &ref : inst.args) {
-            if (ref.kind == ValueRef::Input)
-                args.push_back(inputs[ref.index]);
-            else if (ref.kind == ValueRef::Const)
-                args.push_back(constants[ref.index]);
-            else
-                args.push_back(values[ref.index]);
-        }
-        values.push_back(dict.run(inst.op, args, inst.int_args));
-    }
-    if (!results.empty()) {
-        auto value_of = [&](const ValueRef &ref) {
-            if (ref.kind == ValueRef::Input)
-                return inputs[ref.index];
-            if (ref.kind == ValueRef::Const)
-                return constants[ref.index];
-            return values[ref.index];
-        };
-        BitVector out = value_of(results[0]);
-        for (size_t r = 1; r < results.size(); ++r)
-            out = BitVector::concat(value_of(results[r]), out);
-        return out;
-    }
-    HYD_ASSERT(!values.empty(), "empty target program");
-    const int out = result < 0 ? static_cast<int>(insts.size()) - 1 : result;
-    return values[out];
+    BitVectorDomain dom;
+    return evalProgramDom(
+        dom, *this, inputs,
+        [&](const TargetInst &inst, const std::vector<BitVector> &args) {
+            return dict.run(inst.op, args, inst.int_args);
+        });
 }
 
 std::string

@@ -48,7 +48,8 @@ struct TargetProgram
     /** Static cost: sum of instruction latencies. */
     int cost() const;
 
-    /** Execute functionally through the instruction semantics. */
+    /** Execute on concrete inputs in the representative view
+     *  (codegen/eval.h); every value reference is range-checked. */
     BitVector evaluate(const AutoLLVMDict &dict,
                        const std::vector<BitVector> &inputs) const;
 

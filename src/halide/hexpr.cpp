@@ -1,5 +1,6 @@
 #include "halide/hexpr.h"
 
+#include "halide/eval.h"
 #include "support/error.h"
 #include "support/strings.h"
 
@@ -166,127 +167,8 @@ hSlice(HExprPtr a, int start_lane, int count)
 BitVector
 evalHalide(const HExprPtr &expr, const std::vector<BitVector> &inputs)
 {
-    const int ew = expr->elem_width;
-    const int lanes = expr->lanes;
-    auto eval_kid = [&](int k) { return evalHalide(expr->kids[k], inputs); };
-
-    switch (expr->op) {
-      case HOp::Input: {
-        HYD_ASSERT(expr->imm < static_cast<int64_t>(inputs.size()),
-                   "halide input index out of range");
-        const BitVector &value = inputs[expr->imm];
-        HYD_ASSERT(value.width() == expr->totalWidth(),
-                   "halide input width mismatch");
-        return value;
-      }
-      case HOp::ConstSplat: {
-        BitVector out(expr->totalWidth());
-        const BitVector elem = BitVector::fromInt(ew, expr->imm);
-        for (int lane = 0; lane < lanes; ++lane)
-            out.setSlice(lane * ew, elem);
-        return out;
-      }
-      case HOp::Cast: {
-        const BitVector a = eval_kid(0);
-        const int from = expr->kids[0]->elem_width;
-        BitVector out(expr->totalWidth());
-        for (int lane = 0; lane < lanes; ++lane) {
-            BitVector elem = a.extract(lane * from, from);
-            if (ew > from)
-                elem = expr->sign ? elem.sext(ew) : elem.zext(ew);
-            else if (ew < from)
-                elem = elem.trunc(ew);
-            out.setSlice(lane * ew, elem);
-        }
-        return out;
-      }
-      case HOp::SatNarrowS:
-      case HOp::SatNarrowU: {
-        const BitVector a = eval_kid(0);
-        const int from = expr->kids[0]->elem_width;
-        BitVector out(expr->totalWidth());
-        for (int lane = 0; lane < lanes; ++lane) {
-            BitVector elem = a.extract(lane * from, from);
-            elem = expr->op == HOp::SatNarrowS ? elem.satNarrowS(ew)
-                                               : elem.satNarrowU(ew);
-            out.setSlice(lane * ew, elem);
-        }
-        return out;
-      }
-      case HOp::ReduceAdd: {
-        const BitVector a = eval_kid(0);
-        const int stride = static_cast<int>(expr->imm);
-        BitVector out(expr->totalWidth());
-        for (int lane = 0; lane < lanes; ++lane) {
-            BitVector sum(ew);
-            for (int j = 0; j < stride; ++j)
-                sum = sum.add(a.extract((lane * stride + j) * ew, ew));
-            out.setSlice(lane * ew, sum);
-        }
-        return out;
-      }
-      case HOp::Concat: {
-        return BitVector::concat(eval_kid(1), eval_kid(0));
-      }
-      case HOp::Slice: {
-        const BitVector a = eval_kid(0);
-        return a.extract(static_cast<int>(expr->imm) * ew, lanes * ew);
-      }
-      case HOp::ShlC:
-      case HOp::AShrC:
-      case HOp::LShrC: {
-        const BitVector a = eval_kid(0);
-        BitVector out(expr->totalWidth());
-        const int amount = static_cast<int>(expr->imm);
-        for (int lane = 0; lane < lanes; ++lane) {
-            BitVector elem = a.extract(lane * ew, ew);
-            elem = expr->op == HOp::ShlC    ? elem.shl(amount)
-                   : expr->op == HOp::AShrC ? elem.ashr(amount)
-                                            : elem.lshr(amount);
-            out.setSlice(lane * ew, elem);
-        }
-        return out;
-      }
-      case HOp::AbsS: {
-        const BitVector a = eval_kid(0);
-        BitVector out(expr->totalWidth());
-        for (int lane = 0; lane < lanes; ++lane)
-            out.setSlice(lane * ew, a.extract(lane * ew, ew).absS());
-        return out;
-      }
-      default: {
-        // Lane-wise binary operators.
-        const BitVector a = eval_kid(0);
-        const BitVector b = eval_kid(1);
-        BitVector out(expr->totalWidth());
-        for (int lane = 0; lane < lanes; ++lane) {
-            const BitVector x = a.extract(lane * ew, ew);
-            const BitVector y = b.extract(lane * ew, ew);
-            BitVector elem(ew);
-            switch (expr->op) {
-              case HOp::Add: elem = x.add(y); break;
-              case HOp::Sub: elem = x.sub(y); break;
-              case HOp::Mul: elem = x.mul(y); break;
-              case HOp::MinS: elem = x.minS(y); break;
-              case HOp::MaxS: elem = x.maxS(y); break;
-              case HOp::MinU: elem = x.minU(y); break;
-              case HOp::MaxU: elem = x.maxU(y); break;
-              case HOp::SatAddS: elem = x.addSatS(y); break;
-              case HOp::SatAddU: elem = x.addSatU(y); break;
-              case HOp::SatSubS: elem = x.subSatS(y); break;
-              case HOp::SatSubU: elem = x.subSatU(y); break;
-              case HOp::AvgU: elem = x.avgU(y); break;
-              case HOp::MulHiS:
-                elem = x.sext(2 * ew).mul(y.sext(2 * ew)).extract(ew, ew);
-                break;
-              default:
-                panic("unhandled Halide operator");
-            }
-            out.setSlice(lane * ew, elem);
-        }
-        return out;
-      }
-    }
+    BitVectorDomain dom;
+    return evalHalideDom(dom, expr, inputs);
 }
 
 int

@@ -9,10 +9,10 @@
  * integer-only vector expression DAG with the operations the paper's
  * benchmark kernels exercise (casts, saturating arithmetic, min/max,
  * shifts, strided reduction `reduce-add`, lane concatenation/slicing,
- * averages, multiply-high), plus an interpreter over BitVector
- * values. Memory access is *not* modeled, matching the paper
- * ("Neither Rake nor Hydride support synthesis of memory
- * instructions") — loads appear as vector inputs.
+ * averages, multiply-high), plus its evaluator (halide/eval.h).
+ * Memory access is *not* modeled, matching the paper ("Neither Rake
+ * nor Hydride support synthesis of memory instructions") — loads
+ * appear as vector inputs.
  */
 #ifndef HYDRIDE_HALIDE_HEXPR_H
 #define HYDRIDE_HALIDE_HEXPR_H
@@ -85,7 +85,8 @@ HExprPtr hReduceAdd(HExprPtr a, int stride);
 HExprPtr hConcat(HExprPtr a, HExprPtr b);
 HExprPtr hSlice(HExprPtr a, int start_lane, int count);
 
-/** Evaluate on concrete inputs (lane 0 in the low-order bits). */
+/** Evaluate on concrete inputs (lane 0 in the low-order bits):
+ *  evalHalideDom (halide/eval.h) over BitVectorDomain. */
 BitVector evalHalide(const HExprPtr &expr,
                      const std::vector<BitVector> &inputs);
 

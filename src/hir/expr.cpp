@@ -1,5 +1,6 @@
 #include "hir/expr.h"
 
+#include "hir/eval.h"
 #include "support/error.h"
 #include "support/strings.h"
 
@@ -332,7 +333,7 @@ hole(std::vector<ExprPtr> context)
 // ---- Evaluation --------------------------------------------------------------
 
 int64_t
-evalInt(const ExprPtr &expr, const EvalEnv &env)
+evalInt(const ExprPtr &expr, const IntEnv &env)
 {
     switch (expr->kind) {
       case ExprKind::IntConst:
@@ -407,84 +408,61 @@ applyBVBinOp(BVBinOp op, const BitVector &a, const BitVector &b)
 }
 
 BitVector
+BitVectorDomain::unOp(BVUnOp op, const BitVector &a) const
+{
+    switch (op) {
+      case BVUnOp::Not: return a.bvnot();
+      case BVUnOp::Neg: return a.neg();
+      case BVUnOp::AbsS: return a.absS();
+      case BVUnOp::Popcount: return a.popcount();
+    }
+    panic("unknown BVUnOp");
+}
+
+BitVector
+BitVectorDomain::cast(BVCastOp op, const BitVector &a, int width) const
+{
+    switch (op) {
+      case BVCastOp::SExt: return a.sext(width);
+      case BVCastOp::ZExt: return a.zext(width);
+      case BVCastOp::Trunc: return a.trunc(width);
+      case BVCastOp::SatNarrowS: return a.satNarrowS(width);
+      case BVCastOp::SatNarrowU: return a.satNarrowU(width);
+    }
+    panic("unknown BVCastOp");
+}
+
+BitVector
+BitVectorDomain::cmp(BVCmpOp op, const BitVector &a, const BitVector &b) const
+{
+    switch (op) {
+      case BVCmpOp::Eq: return BitVector::fromUint(1, a == b);
+      case BVCmpOp::Ne: return BitVector::fromUint(1, a != b);
+      case BVCmpOp::Ult: return BitVector::fromUint(1, a.ult(b));
+      case BVCmpOp::Ule: return BitVector::fromUint(1, a.ule(b));
+      case BVCmpOp::Slt: return BitVector::fromUint(1, a.slt(b));
+      case BVCmpOp::Sle: return BitVector::fromUint(1, a.sle(b));
+    }
+    panic("unknown BVCmpOp");
+}
+
+BitVector
+BitVectorDomain::shiftConst(BVBinOp op, const BitVector &a, int amount) const
+{
+    switch (op) {
+      case BVBinOp::Shl: return a.shl(amount);
+      case BVBinOp::LShr: return a.lshr(amount);
+      case BVBinOp::AShr: return a.ashr(amount);
+      default: break;
+    }
+    panic("shiftConst on a non-shift operator");
+}
+
+BitVector
 evalBV(const ExprPtr &expr, const EvalEnv &env)
 {
-    switch (expr->kind) {
-      case ExprKind::ArgBV: {
-        HYD_ASSERT(env.bv_args &&
-                   expr->value < static_cast<int64_t>(env.bv_args->size()),
-                   "bitvector argument missing during evaluation");
-        return (*env.bv_args)[expr->value];
-      }
-      case ExprKind::BVConst: {
-        const int width = static_cast<int>(evalInt(expr->kids[0], env));
-        const int64_t value = evalInt(expr->kids[1], env);
-        return BitVector::fromInt(width, value);
-      }
-      case ExprKind::BVBin: {
-        const BitVector a = evalBV(expr->kids[0], env);
-        const BitVector b = evalBV(expr->kids[1], env);
-        HYD_ASSERT(a.width() == b.width(),
-                   "bvBin operand width mismatch during evaluation");
-        return applyBVBinOp(static_cast<BVBinOp>(expr->value), a, b);
-      }
-      case ExprKind::BVUn: {
-        const BitVector a = evalBV(expr->kids[0], env);
-        switch (static_cast<BVUnOp>(expr->value)) {
-          case BVUnOp::Not: return a.bvnot();
-          case BVUnOp::Neg: return a.neg();
-          case BVUnOp::AbsS: return a.absS();
-          case BVUnOp::Popcount: return a.popcount();
-        }
-        panic("unknown BVUnOp");
-      }
-      case ExprKind::BVCast: {
-        const BitVector a = evalBV(expr->kids[0], env);
-        const int width = static_cast<int>(evalInt(expr->kids[1], env));
-        switch (static_cast<BVCastOp>(expr->value)) {
-          case BVCastOp::SExt: return a.sext(width);
-          case BVCastOp::ZExt: return a.zext(width);
-          case BVCastOp::Trunc: return a.trunc(width);
-          case BVCastOp::SatNarrowS: return a.satNarrowS(width);
-          case BVCastOp::SatNarrowU: return a.satNarrowU(width);
-        }
-        panic("unknown BVCastOp");
-      }
-      case ExprKind::Extract: {
-        const BitVector bv = evalBV(expr->kids[0], env);
-        const int low = static_cast<int>(evalInt(expr->kids[1], env));
-        const int width = static_cast<int>(evalInt(expr->kids[2], env));
-        return bv.extract(low, width);
-      }
-      case ExprKind::Concat: {
-        const BitVector high = evalBV(expr->kids[0], env);
-        const BitVector low = evalBV(expr->kids[1], env);
-        return BitVector::concat(high, low);
-      }
-      case ExprKind::BVCmp: {
-        const BitVector a = evalBV(expr->kids[0], env);
-        const BitVector b = evalBV(expr->kids[1], env);
-        bool result = false;
-        switch (static_cast<BVCmpOp>(expr->value)) {
-          case BVCmpOp::Eq: result = a == b; break;
-          case BVCmpOp::Ne: result = a != b; break;
-          case BVCmpOp::Ult: result = a.ult(b); break;
-          case BVCmpOp::Ule: result = a.ule(b); break;
-          case BVCmpOp::Slt: result = a.slt(b); break;
-          case BVCmpOp::Sle: result = a.sle(b); break;
-        }
-        return BitVector::fromUint(1, result ? 1 : 0);
-      }
-      case ExprKind::Select: {
-        const BitVector cond = evalBV(expr->kids[0], env);
-        return cond.isZero() ? evalBV(expr->kids[2], env)
-                             : evalBV(expr->kids[1], env);
-      }
-      case ExprKind::Hole:
-        panic("evaluating an unfilled synthesis hole");
-      default:
-        panic("evalBV on an Int-typed node");
-    }
+    BitVectorDomain dom;
+    return evalBVDom(dom, expr, env);
 }
 
 // ---- Rewriting ----------------------------------------------------------------

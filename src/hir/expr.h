@@ -178,34 +178,47 @@ inline ExprPtr modI(ExprPtr a, ExprPtr b) { return intBin(IntBinOp::Mod, a, b); 
 // ---- Evaluation ------------------------------------------------------------
 
 /**
- * Evaluation environment: concrete argument values, concrete values
- * for the numerical parameters, loop iterator values, and (for the
- * pre-canonical statement interpreter) named variable bindings.
+ * Integer evaluation state: concrete values for the numerical
+ * parameters, loop iterator values, and named variable bindings
+ * (integer immediates, and the pre-canonical statement interpreter's
+ * variables). Int-typed expressions are always concrete, whatever
+ * domain the BV-typed ones are evaluated in.
  */
-struct EvalEnv
+struct IntEnv
 {
-    const std::vector<BitVector> *bv_args = nullptr;
     const std::vector<int64_t> *param_values = nullptr;
     int64_t loop_i = 0;
     int64_t loop_j = 0;
     std::unordered_map<std::string, int64_t> named;
 };
 
-/** Evaluate an Int-typed expression. */
-int64_t evalInt(const ExprPtr &expr, const EvalEnv &env);
+/** Evaluation environment over a value domain (hir/eval.h): the
+ *  bitvector arguments as `Value`s plus the integer state. */
+template <typename Value>
+struct ValueEnv : IntEnv
+{
+    const std::vector<Value> *bv_args = nullptr;
+};
 
-/** Evaluate a BV-typed expression. */
+/** The concrete environment: BitVector arguments. */
+using EvalEnv = ValueEnv<BitVector>;
+
+/** Evaluate an Int-typed expression. */
+int64_t evalInt(const ExprPtr &expr, const IntEnv &env);
+
+/** Evaluate a BV-typed expression on concrete values: the walker of
+ *  hir/eval.h over BitVectorDomain. */
 BitVector evalBV(const ExprPtr &expr, const EvalEnv &env);
 
 /**
  * The shift-amount clamp used when evaluating Shl/LShr/AShr: amounts
  * >= kMaxWidth (or with any high word bit set) behave as a full
- * shift-out. Exposed so the symbolic evaluator mirrors it exactly.
+ * shift-out. Exposed so the symbolic domains mirror it exactly.
  */
 int shiftAmountOf(const BitVector &amount);
 
-/** Apply a BV binary operator exactly as evalBV does (including the
- *  shift-amount clamp). Shared with the symbolic evaluator. */
+/** Apply a BV binary operator on concrete values (including the
+ *  shift-amount clamp): BitVectorDomain::binOp. */
 BitVector applyBVBinOp(BVBinOp op, const BitVector &a, const BitVector &b);
 
 // ---- Rewriting --------------------------------------------------------------

@@ -1,5 +1,6 @@
 #include "hir/semantics.h"
 
+#include "hir/eval.h"
 #include "support/error.h"
 
 namespace hydride {
@@ -59,32 +60,8 @@ CanonicalSemantics::evaluate(const std::vector<BitVector> &args,
                              const std::vector<int64_t> &param_values,
                              const std::vector<int64_t> &int_arg_values) const
 {
-    HYD_ASSERT(int_arg_values.size() == int_args.size(),
-               "integer argument count mismatch for " + name);
-    EvalEnv env;
-    env.bv_args = &args;
-    env.param_values = &param_values;
-    for (size_t i = 0; i < int_args.size(); ++i)
-        env.named[int_args[i]] = int_arg_values[i];
-
-    const int64_t outer = evalInt(outer_count, env);
-    const int64_t inner = evalInt(inner_count, env);
-    const int width = static_cast<int>(evalInt(elem_width, env));
-    HYD_ASSERT(outer >= 1 && inner >= 1 && width >= 1,
-               "degenerate canonical loop bounds");
-
-    BitVector out(static_cast<int>(outer * inner * width));
-    for (int64_t i = 0; i < outer; ++i) {
-        for (int64_t j = 0; j < inner; ++j) {
-            env.loop_i = i;
-            env.loop_j = j;
-            BitVector elem = evalBV(templateFor(i, j), env);
-            HYD_ASSERT(elem.width() == width,
-                       "template produced mis-sized element in " + name);
-            out.setSlice(static_cast<int>((i * inner + j) * width), elem);
-        }
-    }
-    return out;
+    BitVectorDomain dom;
+    return evalSemanticsDom(dom, *this, args, param_values, int_arg_values);
 }
 
 bool

@@ -111,18 +111,15 @@ struct CanonicalSemantics
     /** Width in bits of bitvector argument `index`. */
     int argWidth(int index, const std::vector<int64_t> &param_values) const;
 
-    /**
-     * The structural template selecting output element (i, j) under
-     * `mode`. Shared by the concrete interpreter and the symbolic
-     * evaluator (analysis/symbolic/sym_eval.h) so the two loop nests
-     * cannot drift apart.
-     */
+    /** The structural template selecting output element (i, j)
+     *  under `mode` (the loop nest of evalSemanticsDom, hir/eval.h). */
     const ExprPtr &templateFor(int64_t i, int64_t j) const;
 
     /**
-     * Execute the canonical semantics: evaluate every output element
-     * and assemble the result vector. `int_arg_values` supplies the
-     * integer immediates, in `int_args` order.
+     * Execute the canonical semantics on concrete values:
+     * evalSemanticsDom over BitVectorDomain (hir/eval.h).
+     * `int_arg_values` supplies the integer immediates, in `int_args`
+     * order.
      */
     BitVector evaluate(const std::vector<BitVector> &args,
                        const std::vector<int64_t> &param_values,

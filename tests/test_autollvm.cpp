@@ -10,6 +10,7 @@
 #include "autollvm/tablegen.h"
 #include "codegen/lowering.h"
 #include "specs/spec_db.h"
+#include "support/error.h"
 #include "support/rng.h"
 
 namespace hydride {
@@ -214,6 +215,35 @@ TEST(Lowering, ImmediateOperandsFlowThrough)
     BitVector out = lowered.program.evaluate(dict(), {a});
     EXPECT_EQ(out.extract(0, 16), a.extract(0, 16).shl(3));
     EXPECT_NE(lowered.program.print().find(", 3"), std::string::npos);
+}
+
+TEST(Lowering, OutOfRangeValueReferencesThrow)
+{
+    // Every value reference of a target program is range-checked: a
+    // bad index throws AssertionError instead of reading out of bounds.
+    LoweringResult lowered = lowerToTarget(maddModule(), dict(), "x86");
+    ASSERT_TRUE(lowered.ok) << lowered.error;
+    Rng rng(55);
+    const std::vector<BitVector> inputs = {BitVector::random(256, rng),
+                                           BitVector::random(256, rng),
+                                           BitVector::random(256, rng)};
+    ASSERT_NO_THROW(lowered.program.evaluate(dict(), inputs));
+
+    for (const ValueRef &bad :
+         {ValueRef::input(3), ValueRef::input(-1), ValueRef::constant(0),
+          ValueRef::inst(1)}) {
+        TargetProgram program = lowered.program;
+        program.insts[0].args[0] = bad;
+        EXPECT_THROW(program.evaluate(dict(), inputs), AssertionError)
+            << "kind " << bad.kind << " index " << bad.index;
+    }
+
+    TargetProgram multi = lowered.program;
+    multi.results = {ValueRef::inst(1), ValueRef::input(7)};
+    EXPECT_THROW(multi.evaluate(dict(), inputs), AssertionError);
+    TargetProgram result = lowered.program;
+    result.result = 2;
+    EXPECT_THROW(result.evaluate(dict(), inputs), AssertionError);
 }
 
 } // namespace

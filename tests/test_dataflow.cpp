@@ -213,9 +213,9 @@ fuzzDomain(Domain &dom, int trials, uint64_t seed)
             std::vector<typename Domain::Value> abs_args;
             for (const BitVector &c : concrete)
                 abs_args.push_back(makeArg(dom, c, mode, rng));
-            sym::DomEnv<Domain> env;
+            DomEnv<Domain> env;
             env.bv_args = &abs_args;
-            const auto result = sym::evalBVDom(dom, expr, env);
+            const auto result = evalBVDom(dom, expr, env);
             ASSERT_TRUE(dom.contains(result, expected))
                 << "trial " << t << " mode " << static_cast<int>(mode)
                 << ": concrete result escapes the abstract value";
@@ -428,12 +428,12 @@ TEST(Dataflow, SemanticsContainment)
         const BitVector expected = sem.evaluate(args, {});
 
         std::vector<AbsValue> abs_args = {dom.top(32), dom.top(32)};
-        const AbsValue out = sym::evalSemanticsDom(dom, sem, abs_args, {});
+        const AbsValue out = evalSemanticsDom(dom, sem, abs_args, {});
         ASSERT_TRUE(out.containsConcrete(expected)) << "trial " << t;
 
         std::vector<AbsValue> exact = {dom.constant(args[0]),
                                        dom.constant(args[1])};
-        const AbsValue out2 = sym::evalSemanticsDom(dom, sem, exact, {});
+        const AbsValue out2 = evalSemanticsDom(dom, sem, exact, {});
         ASSERT_TRUE(out2.containsConcrete(expected)) << "trial " << t;
     }
 }

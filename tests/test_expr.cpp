@@ -7,6 +7,7 @@
 
 #include "hir/expr.h"
 #include "hir/printer.h"
+#include "support/error.h"
 #include "support/rng.h"
 
 namespace hydride {
@@ -133,6 +134,27 @@ TEST(Expr, ConcatEvaluates)
     EvalEnv env;
     env.bv_args = &args;
     EXPECT_EQ(evalBV(concat(argBV(0), argBV(1)), env).toUint64(), 0xABCDu);
+}
+
+TEST(Expr, EvaluationErrorsThrowAssertionError)
+{
+    // Callers probe evaluation speculatively and catch AssertionError,
+    // so an unfilled hole or an Int-typed node in a BV position must
+    // throw, not abort the process.
+    std::vector<BitVector> args = {BitVector::fromUint(8, 0x5A)};
+    EvalEnv env;
+    env.bv_args = &args;
+    EXPECT_THROW(evalBV(hole({argBV(0)}), env), AssertionError);
+    EXPECT_THROW(evalBV(intConst(3), env), AssertionError);
+    EXPECT_THROW(evalBV(select(bvConst(intConst(1), intConst(1)), hole({}),
+                               argBV(0)),
+                        env),
+                 AssertionError);
+    // Select stays lazy: the untaken hole is never evaluated.
+    EXPECT_EQ(evalBV(select(bvConst(intConst(1), intConst(0)), hole({}),
+                            argBV(0)),
+                     env),
+              args[0]);
 }
 
 TEST(Expr, StructuralEqualityAndHash)

@@ -76,6 +76,7 @@
 #include "driver/resilience.h"
 #include "observability/journal/journal.h"
 #include "observability/metrics.h"
+#include "specs/spec_db.h"
 #include "support/error.h"
 #include "support/faults.h"
 #include "support/rng.h"
@@ -265,6 +266,12 @@ runSite(const std::string &site, const std::string &clause,
 
     int violations = 0;
     const AutoLLVMDict dict = AutoLLVMDict::build({"x86"});
+    // The front-half seams (parser.malformed, specdb.corrupt,
+    // similarity.verify) fire while manuals are parsed and grouped.
+    // Building the dictionary of every manual as well drives the HVX
+    // and ARM skip paths too. x86 is parsed first and cached, so the
+    // probe dictionary above does not depend on this build.
+    AutoLLVMDict::build(builtinIsas());
 
     ResilienceOptions options;
     options.synthesis.timeout_seconds = 1.0;

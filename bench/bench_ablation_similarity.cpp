@@ -86,6 +86,5 @@ main(int argc, char **argv)
                  "elimination shrinks signatures (the paper's "
                  "'eliminating unnecessary arguments'); hole insertion "
                  "is what lets offset variants share a class.\n";
-    cli.finish();
-    return 0;
+    return cli.finish();
 }

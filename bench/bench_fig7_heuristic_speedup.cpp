@@ -15,30 +15,10 @@
 #include "specs/spec_db.h"
 #include "support/strings.h"
 #include "support/table.h"
-#include "halide/kernels.h"
 #include "synthesis/cegis.h"
 #include "trace_cli.h"
 
 using namespace hydride;
-
-namespace {
-
-/** The 4-way byte dot-product window (paper Table 5's query), with
- *  the operand signedness each target's instruction uses. */
-HExprPtr
-dotWindow(const TargetDesc &target)
-{
-    const int out_lanes = target.vector_bits / 32;
-    const int in_lanes = 4 * out_lanes;
-    const bool a_signed = target.isa == "arm"; // sdot: s8*s8
-    HExprPtr a = hCast(hInput(1, 8, in_lanes), 32, a_signed);
-    HExprPtr b = hCast(hInput(2, 8, in_lanes), 32, true);
-    HExprPtr acc = hInput(0, 32, out_lanes);
-    return hBin(HOp::Add, acc,
-                hReduceAdd(hBin(HOp::Mul, a, b), 4));
-}
-
-} // namespace
 
 int
 main(int argc, char **argv)
@@ -74,14 +54,13 @@ main(int argc, char **argv)
     const int reps = cli.smoke() ? 1 : 3;
     int target_idx = 0;
     for (const auto &target : evaluationTargets()) {
-        HExprPtr window = dotWindow(target);
+        HExprPtr window = dotProductWindow(target);
         for (size_t s = 0; s < std::size(settings); ++s) {
             SynthesisOptions options;
             options.grammar.bvs = true;
             options.grammar.sbos = settings[s].sbos;
             options.lanewise = settings[s].lanewise;
             options.scaling = settings[s].scaling;
-            options.timeout_seconds = 30.0;
             // Median of `reps` runs for timing stability.
             std::vector<double> runs;
             for (int r = 0; r < reps; ++r) {
@@ -118,6 +97,5 @@ main(int argc, char **argv)
     std::cout << "\nPaper reference speedups over BVS (x86/HVX/ARM): "
                  "lane-wise 2/2.8/1.4; scaling+lane-wise 2/12.8/3.6; "
                  "+SBOS 2.7/20.8/6.\n";
-    cli.finish();
-    return 0;
+    return cli.finish();
 }

@@ -163,12 +163,10 @@ BM_CegisExhaustedWindow(benchmark::State &state)
     Schedule schedule;
     schedule.vector_bits = 512;
     const HExprPtr window = buildKernel("gaussian3x3", schedule).windows[0];
-    SynthesisOptions options;
-    options.timeout_seconds = 600.0; // The search ends on its own.
     long rejected = 0;
     for (auto _ : state) {
         const SynthesisResult result =
-            synthesizeWindow(dict(), "x86", window, options);
+            synthesizeWindow(dict(), "x86", window);
         if (result.ok || result.note.rfind("search exhausted", 0) != 0) {
             state.SkipWithError(("not exhausted: " + result.note).c_str());
             return;
@@ -190,7 +188,6 @@ BENCHMARK(BM_CegisExhaustedWindow)->Unit(benchmark::kMillisecond);
 struct Dot2AccCase
 {
     HExprPtr window;
-    SynthesisOptions options;
     SynthesisResult synth;
 };
 
@@ -202,8 +199,7 @@ dot2Acc()
         Schedule schedule;
         schedule.vector_bits = 512;
         out.window = buildKernel("matmul_bias", schedule).windows[0];
-        out.options.timeout_seconds = 600.0; // The search ends on its own.
-        out.synth = synthesizeWindow(dict(), "x86", out.window, out.options);
+        out.synth = synthesizeWindow(dict(), "x86", out.window);
         return out;
     }();
     return c;
@@ -271,7 +267,7 @@ BM_StoreReproofDot2Acc(benchmark::State &state)
     sym::EqResult eq;
     for (auto _ : state) {
         eq = sym::checkModuleEquiv(dict(), c.synth.module, c.window,
-                                   c.options.symbolic_budget);
+                                   SynthesisOptions{}.symbolic_budget);
         benchmark::DoNotOptimize(eq);
         if (eq.verdict != sym::Verdict::Proved || eq.method != "structural") {
             state.SkipWithError(("not proved structurally: " + eq.method +
@@ -299,13 +295,23 @@ BM_CacheLookup(benchmark::State &state)
 }
 BENCHMARK(BM_CacheLookup);
 
-/** ConsoleReporter that also record()s every run into the BenchCli,
- *  so `--json-out` captures per-benchmark times alongside the normal
- *  console table. */
-class CaptureReporter : public benchmark::ConsoleReporter
+/** The `--benchmark_format` display reporter, wrapped so that every
+ *  run is also record()ed into the BenchCli: `--json-out` captures
+ *  per-benchmark times whatever the display format. Construct it
+ *  after benchmark::Initialize, which parses that flag. */
+class CaptureReporter : public benchmark::BenchmarkReporter
 {
   public:
-    explicit CaptureReporter(bench::BenchCli &cli) : cli_(cli) {}
+    explicit CaptureReporter(bench::BenchCli &cli)
+        : cli_(cli), display_(benchmark::CreateDefaultDisplayReporter())
+    {
+    }
+
+    bool
+    ReportContext(const Context &context) override
+    {
+        return display_->ReportContext(context);
+    }
 
     void
     ReportRuns(const std::vector<Run> &runs) override
@@ -320,11 +326,15 @@ class CaptureReporter : public benchmark::ConsoleReporter
                         static_cast<long>(run.iterations),
                         1e3 * run.cpu_accumulated_time / denom);
         }
-        ConsoleReporter::ReportRuns(runs);
+        display_->ReportRuns(runs);
     }
+
+    void Finalize() override { display_->Finalize(); }
 
   private:
     bench::BenchCli &cli_;
+    /** Owned by google-benchmark (one per process). */
+    benchmark::BenchmarkReporter *display_;
 };
 
 } // namespace
@@ -358,6 +368,5 @@ main(int argc, char **argv)
     CaptureReporter reporter(cli);
     benchmark::RunSpecifiedBenchmarks(&reporter);
     benchmark::Shutdown();
-    cli.finish();
-    return 0;
+    return cli.finish();
 }

@@ -48,7 +48,6 @@ main(int argc, char **argv)
     std::system(("rm -rf '" + store_dir + "'").c_str());
 
     ResilienceOptions options;
-    options.synthesis.timeout_seconds = 2.0;
     options.store_path = store_dir;
 
     Table table({"Run", "compile (ms)", "store entries"});
@@ -83,6 +82,5 @@ main(int argc, char **argv)
     cli.recordRatio("store.warm_speedup", speedup);
 
     std::system(("rm -rf '" + store_dir + "'").c_str());
-    cli.finish();
-    return 0;
+    return cli.finish();
 }

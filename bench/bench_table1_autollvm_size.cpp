@@ -66,6 +66,5 @@ main(int argc, char **argv)
     std::cout << "\nPaper reference: x86 2,029->136 (6.7%), "
                  "HVX 307->115 (37.5%), ARM 1,221->177 (14.5%), "
                  "combined 3,557->397 (11.2%).\n";
-    cli.finish();
-    return 0;
+    return cli.finish();
 }

@@ -125,6 +125,6 @@ main(int argc, char **argv)
               << " of 5 hand-written-semantics bug classes detected "
                  "(paper Table 2 lists 5 such bugs in Rake).\n";
     cli.record("fuzz_ms", fuzz_watch.millis());
-    cli.finish();
-    return found == 5 ? 0 : 1;
+    const int status = cli.finish();
+    return found == 5 ? status : 1;
 }

@@ -41,8 +41,6 @@ main(int argc, char **argv)
     std::cout << "=== Table 4: compilation times (ms) under cache "
                  "scenarios ===\n\n";
     AutoLLVMDict dict = AutoLLVMDict::build({"x86", "hvx", "arm"});
-    SynthesisOptions options;
-    options.timeout_seconds = 2.0;
 
     // --smoke: one target, four kernels — enough to exercise every
     // cache scenario without the full 33-kernel sweep.
@@ -65,8 +63,8 @@ main(int argc, char **argv)
             schedule.vector_bits = target.vector_bits;
             Kernel kernel = buildKernel(name, schedule);
             SynthesisCache fresh;
-            HydrideBackend hydride(dict, target.isa, target.vector_bits,
-                                   options, &fresh);
+            HydrideBackend hydride(dict, target.isa, target.vector_bits, {},
+                                   &fresh);
             CompiledKernel compiled;
             Stopwatch watch;
             hydride.compile(kernel, compiled);
@@ -85,8 +83,8 @@ main(int argc, char **argv)
                                  SynthesisCache &cache,
                                  const Schedule &schedule) {
             Kernel kernel = buildKernel(name, schedule);
-            HydrideBackend hydride(dict, target.isa, target.vector_bits,
-                                   options, &cache);
+            HydrideBackend hydride(dict, target.isa, target.vector_bits, {},
+                                   &cache);
             CompiledKernel compiled;
             Stopwatch watch;
             hydride.compile(kernel, compiled);
@@ -149,6 +147,5 @@ main(int argc, char **argv)
     }
     std::cout << "Paper relation reproduced when geomean(I) >> "
                  "geomean(II) > geomean(III) ~= geomean(IV).\n";
-    cli.finish();
-    return 0;
+    return cli.finish();
 }

@@ -24,7 +24,6 @@
 #include "specs/spec_db.h"
 #include "support/strings.h"
 #include "support/table.h"
-#include "halide/kernels.h"
 #include "synthesis/cegis.h"
 #include "trace_cli.h"
 
@@ -41,25 +40,6 @@ struct Setting
     bool lanewise;
     bool scaling;
 };
-
-} // namespace
-
-namespace {
-
-/** The 4-way byte dot-product window (paper Table 5's query), with
- *  the operand signedness each target's instruction uses. */
-HExprPtr
-dotWindow(const TargetDesc &target)
-{
-    const int out_lanes = target.vector_bits / 32;
-    const int in_lanes = 4 * out_lanes;
-    const bool a_signed = target.isa == "arm"; // sdot: s8*s8
-    HExprPtr a = hCast(hInput(1, 8, in_lanes), 32, a_signed);
-    HExprPtr b = hCast(hInput(2, 8, in_lanes), 32, true);
-    HExprPtr acc = hInput(0, 32, out_lanes);
-    return hBin(HOp::Add, acc,
-                hReduceAdd(hBin(HOp::Mul, a, b), 4));
-}
 
 } // namespace
 
@@ -99,7 +79,7 @@ main(int argc, char **argv)
             // the 4-way byte dot every target fuses (x86 dpbusd,
             // HVX vrmpy, ARM sdot), with each target's operand
             // signedness.
-            HExprPtr window = dotWindow(target);
+            HExprPtr window = dotProductWindow(target);
 
             SynthesisOptions options;
             options.grammar.bvs = setting.bvs;
@@ -107,7 +87,6 @@ main(int argc, char **argv)
             options.grammar.max_ops = setting.max_ops;
             options.lanewise = setting.lanewise;
             options.scaling = setting.scaling;
-            options.timeout_seconds = 30.0;
 
             SynthesisResult result = synthesizeWindow(
                 dict, target.isa, window, options);
@@ -125,6 +104,5 @@ main(int argc, char **argv)
                  "intractable; top-50 14400+; BVS 236/997/628; "
                  "BVS+lane-wise 118/360/452; BVS+scaling 142/108/165; "
                  "BVS+scaling+lane-wise 115/78/175; +SBOS 86/48/104.\n";
-    cli.finish();
-    return 0;
+    return cli.finish();
 }

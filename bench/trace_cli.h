@@ -49,13 +49,13 @@ namespace bench {
 
 /** The bench flags (--trace-out, --json-out, --smoke, --profile).
  *  One instance per bench main(); parse() first, record() the
- *  measurements, finish() last. */
+ *  measurements, `return finish()` last. */
 class BenchCli
 {
   public:
-    /** Scan argv; --json-out and --profile enable metrics, which
-     *  feed the phase profile and the histogram summaries. Tracing
-     *  stays off unless --trace-out or HYDRIDE_TRACE asks for it. */
+    /** Scan argv and enable metrics, which feed the deadline check,
+     *  the phase profile and the histogram summaries. Tracing stays
+     *  off unless --trace-out or HYDRIDE_TRACE asks for it. */
     void
     parse(int argc, char **argv)
     {
@@ -74,8 +74,7 @@ class BenchCli
         }
         if (!trace_path_.empty())
             trace::setEnabled(true);
-        if (!trace_path_.empty() || !json_path_.empty() || profile_)
-            metrics::setEnabled(true);
+        metrics::setEnabled(true);
     }
 
     bool smoke() const { return smoke_; }
@@ -117,11 +116,17 @@ class BenchCli
         entries_.push_back(std::move(entry));
     }
 
-    /** Write every requested artifact. Records `total_ms` (whole-run
-     *  wall time since parse) automatically. */
-    void
+    /** Write every requested artifact and return the suite's exit
+     *  status: 1 when a CEGIS search reached its safety-net deadline
+     *  (the run's results then depend on the host's speed), else 0.
+     *  Records `total_ms` (whole-run wall time since parse). */
+    int
     finish()
     {
+        const uint64_t deadline_hits =
+            metrics::counter("synthesis.cegis.deadline_hits").value();
+        std::cerr << "cegis deadline hits: " << deadline_hits << "\n";
+        const int status = deadline_hits > 0 ? 1 : 0;
         if (!trace_path_.empty()) {
             const std::string metrics_path = trace_path_ + ".metrics.json";
             const bool trace_ok = trace::writeChromeJson(trace_path_);
@@ -133,13 +138,13 @@ class BenchCli
                       << "\n";
         }
         if (json_path_.empty() && !profile_)
-            return;
+            return status;
         record("total_ms", run_watch_.millis(), 1, cpuTimeMs());
         const phases::PhaseProfile profile = phases::profile();
         if (profile_)
             std::cout << "\n" << phases::formatProfile(profile);
         if (json_path_.empty())
-            return;
+            return status;
         BenchReport report;
         report.suite = suite_;
         report.smoke = smoke_;
@@ -155,6 +160,7 @@ class BenchCli
             std::cerr << "bench report: cannot write " << json_path_
                       << "\n";
         }
+        return status;
     }
 
   private:

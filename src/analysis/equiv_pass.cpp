@@ -268,7 +268,6 @@ runEq04(EqContext &ctx)
         const HExprPtr window =
             hBin(HOp::Add, hInput(0, ew, lanes), hInput(1, ew, lanes));
         SynthesisOptions sopts;
-        sopts.timeout_seconds = 5.0;
         sopts.symbolic_verify = true;
         sopts.symbolic_budget = ctx.options.equiv.budget;
         const SynthesisResult synth =

@@ -12,6 +12,8 @@
 #include <string>
 #include <vector>
 
+#include "halide/hexpr.h"
+
 namespace hydride {
 
 /**
@@ -36,6 +38,11 @@ struct TargetDesc
 
 /** The three paper targets. */
 const std::vector<TargetDesc> &evaluationTargets();
+
+/** The 4-way byte dot-product-accumulate window (the query of the
+ *  paper's Table 5 and Figure 7) at `target`'s vector width, with the
+ *  operand signedness of its instruction (ARM `sdot`: s8*s8). */
+HExprPtr dotProductWindow(const TargetDesc &target);
 
 } // namespace hydride
 

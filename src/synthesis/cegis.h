@@ -17,8 +17,15 @@
  *     against the specification on fresh random vectors, feeding any
  *     counterexample (and its first failing lane) back into the loop;
  *  4. scales the winning program back up and re-verifies at full
- *     width, falling back to an unscaled search if that fails
- *     (Algorithm 2 line 26).
+ *     width; whenever the scaled attempt fails, one unscaled attempt
+ *     follows (Algorithm 2 line 26).
+ *
+ * A search ends by work, not time: `max_insts` depths x grammar ops x
+ * `max_combos` operand tuples, `kCegisRounds` rounds, a `kMaxBank`
+ * bank. `timeout_seconds` is one safety net that no bench or test
+ * reaches; a search that does ends `timeout`, counts
+ * `synthesis.cegis.deadline_hits` and fails a bench run. The
+ * `cegis.timeout` fault site tests that path.
  *
  * The enumeration uses observational-equivalence deduplication: two
  * candidate values with identical outputs on every counterexample
@@ -47,7 +54,8 @@ struct SynthesisOptions
     int max_insts = 3;      ///< Maximum output sequence length.
     int window_depth = 5;   ///< Max expression depth per window (§4.2).
     int max_combos = 4000;  ///< Operand-combination cap per op/depth.
-    double timeout_seconds = 20.0;
+    /** Safety net, not a budget (see the file comment). */
+    double timeout_seconds = 120.0;
     /**
      * Re-validate candidates symbolically (the paper's SMT
      * verification): a candidate that survives the random vectors is

@@ -126,9 +126,7 @@ TEST(RakeBackend, AvoidsTheInstructionsRakeLacks)
 
 TEST(HydrideBackend, BeatsLlvmStyleOnMatmul)
 {
-    SynthesisOptions options;
-    options.timeout_seconds = 5.0;
-    HydrideBackend hydride(dict(), "x86", 512, options);
+    HydrideBackend hydride(dict(), "x86", 512);
     LlvmStyleBackend llvm(dict(), "x86", 512);
     Kernel kernel = kernelFor("matmul_b1", 512);
     CompiledKernel h;
@@ -143,7 +141,6 @@ TEST(HydrideBackend, BeatsLlvmStyleOnMatmul)
 TEST(HydrideBackend, SplitWindowsStillValidate)
 {
     SynthesisOptions options;
-    options.timeout_seconds = 3.0;
     options.window_depth = 4;
     HydrideBackend hydride(dict(), "hvx", 1024, options);
     Kernel kernel = kernelFor("gaussian5x5", 1024);
@@ -158,9 +155,7 @@ TEST(HydrideBackend, ScalarizedWindowFailsTheCompileInsteadOfThrowing)
     // With lowering and macro expansion both failing, every window
     // ends on the Scalarized rung, which has no target program.
     ASSERT_TRUE(faults::configure("lowering.fail,macro.fail"));
-    SynthesisOptions options;
-    options.timeout_seconds = 2.0;
-    HydrideBackend hydride(dict(), "x86", 512, options);
+    HydrideBackend hydride(dict(), "x86", 512);
     CompiledKernel compiled;
     bool ok = true;
     EXPECT_NO_THROW(ok = hydride.compile(kernelFor("add", 512), compiled));

@@ -137,10 +137,8 @@ TEST(Integration, HydrideCompilesAndValidatesEveryKernelEverywhere)
 {
     for (const auto &target : evaluationTargets()) {
         SynthesisCache cache;
-        SynthesisOptions options;
-        options.timeout_seconds = 3.0;
-        HydrideBackend hydride(dict(), target.isa, target.vector_bits,
-                               options, &cache);
+        HydrideBackend hydride(dict(), target.isa, target.vector_bits, {},
+                               &cache);
         for (const auto &name : kernelNames()) {
             Schedule schedule;
             schedule.vector_bits = target.vector_bits;
@@ -159,10 +157,7 @@ TEST(Integration, SynthesisBeatsOrMatchesExpansionOnEveryWindow)
 {
     // Hydride must never produce worse code than its own fallback.
     for (const auto &target : evaluationTargets()) {
-        SynthesisOptions options;
-        options.timeout_seconds = 3.0;
-        HydrideBackend hydride(dict(), target.isa, target.vector_bits,
-                               options);
+        HydrideBackend hydride(dict(), target.isa, target.vector_bits);
         LlvmStyleBackend llvm(dict(), target.isa, target.vector_bits);
         for (const auto &name :
              {"matmul_b1", "conv_nn", "add", "average_pool"}) {

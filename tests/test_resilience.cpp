@@ -51,7 +51,6 @@ ResilienceOptions
 fastOptions()
 {
     ResilienceOptions options;
-    options.synthesis.timeout_seconds = 5.0;
     options.synthesis.max_insts = 2;
     return options;
 }
@@ -247,9 +246,12 @@ TEST(Resilience, InjectedTimeoutDegradesToMacroExpansionWithoutRetry)
         metrics::counter("resilience.degradations");
     metrics::Counter &searches =
         metrics::counter("synthesis.cegis.windows");
+    metrics::Counter &deadline_hits =
+        metrics::counter("synthesis.cegis.deadline_hits");
     const uint64_t rung_before = rung_counter.value();
     const uint64_t deg_before = degradations.value();
     const uint64_t searches_before = searches.value();
+    const uint64_t hits_before = deadline_hits.value();
 
     ResilientCompiler compiler(dict(), "x86", 256, fastOptions());
     ResilientWindow window = compiler.compileWindow(easyWindow());
@@ -264,6 +266,7 @@ TEST(Resilience, InjectedTimeoutDegradesToMacroExpansionWithoutRetry)
         << window.synth.note;
     EXPECT_EQ(window.retries, 0);
     EXPECT_EQ(searches.value(), searches_before + 1);
+    EXPECT_EQ(deadline_hits.value(), hits_before + 1);
     EXPECT_EQ(rung_counter.value(), rung_before + 1);
     EXPECT_EQ(degradations.value(), deg_before + 1);
     EXPECT_EQ(lastWindowSpanRung(), "macro_expanded");
@@ -410,7 +413,8 @@ TEST(Resilience, CegisDeadlineOvershootIsBounded)
     const double elapsed = watch.seconds();
     EXPECT_LT(elapsed, 2.0);
     if (!synth.ok) {
-        EXPECT_EQ(synth.note, "timeout");
+        // The unscaled retry follows and stops at its first check.
+        EXPECT_EQ(synth.note, "timeout; unscaled retry: timeout");
     }
 }
 

@@ -243,9 +243,6 @@ expectStoreHitProved(const AutoLLVMDict &dict, const std::string &isa,
 {
     ResilienceOptions options;
     options.store_path = root;
-    // A safety net, not a budget: the first compile must synthesize
-    // even on a loaded or sanitized build.
-    options.synthesis.timeout_seconds = 120;
     {
         SynthesisCache cache;
         ResilientCompiler compiler(dict, isa, vector_bits, options, &cache);

@@ -879,17 +879,14 @@ TEST(CheckEquiv, Dot2AccStoreReproofIsStructural)
     Schedule schedule;
     schedule.vector_bits = 512;
     const HExprPtr window = buildKernel("matmul_bias", schedule).windows.at(0);
-    SynthesisOptions options;
-    options.timeout_seconds = 600.0; // The search ends on its own.
-    const SynthesisResult synth =
-        synthesizeWindow(dict, "x86", window, options);
+    const SynthesisResult synth = synthesizeWindow(dict, "x86", window);
     ASSERT_TRUE(synth.ok) << synth.note;
     ASSERT_EQ(synth.module.insts.size(), 1u);
     EXPECT_EQ(synth.module.insts[0].op.member(dict).name,
               "_mm512_dpwssd_epi32");
 
     const sym::EqResult eq = sym::checkModuleEquiv(
-        dict, synth.module, window, options.symbolic_budget);
+        dict, synth.module, window, SynthesisOptions{}.symbolic_budget);
     EXPECT_EQ(eq.verdict, sym::Verdict::Proved) << eq.reason;
     EXPECT_EQ(eq.method, "structural");
     EXPECT_EQ(eq.aig_nodes, 176209u);

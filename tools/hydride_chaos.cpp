@@ -274,7 +274,6 @@ runSite(const std::string &site, const std::string &clause,
     AutoLLVMDict::build(builtinIsas());
 
     ResilienceOptions options;
-    options.synthesis.timeout_seconds = 1.0;
     options.synthesis.max_insts = 2;
     if (break_ladder) {
         options.allow_macro_fallback = false;
@@ -486,7 +485,6 @@ runStoreCrash()
 
     // The salvaged store must still be a working warm-start source.
     ResilienceOptions options;
-    options.synthesis.timeout_seconds = 1.0;
     options.synthesis.max_insts = 2;
     options.store_path = dir;
     options.store = sopt;
@@ -609,7 +607,6 @@ runStorePoison(bool verify)
     const HExprPtr sub_window = hBin(HOp::Sub, a, b);
 
     SynthesisOptions synth;
-    synth.timeout_seconds = 5.0;
     synth.max_insts = 2;
     const SynthesisResult solved =
         synthesizeWindow(dict, "x86", add_window, synth);

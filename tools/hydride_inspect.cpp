@@ -22,8 +22,9 @@
  *       iterations, or degradation rung.
  *
  *   hydride-inspect diff a.jsonl b.jsonl
- *       Field-by-field drift between two runs, matched by
- *       (window-hash, isa); exit 1 when the runs diverge.
+ *       Field-by-field drift between two runs (rung, cache, cost,
+ *       instructions, verdict, note), matched by (window-hash, isa);
+ *       exit 1 when the runs diverge.
  *
  *   hydride-inspect list --journal run.jsonl
  *       One line per window event.
@@ -445,6 +446,10 @@ cmdDiff(const std::string &path_a, const std::string &path_b, bool json)
                             " -> " +
                             (wb.verdict.empty() ? "-" : wb.verdict));
         }
+        // A deadline cut ("timeout") and an exhausted space end on the
+        // same rung; only the note tells the two fates apart.
+        if (wa.note != wb.note)
+            drift.push_back("note '" + wa.note + "' -> '" + wb.note + "'");
         if (!drift.empty()) {
             changes.push_back(
                 {key.first, key.second, joined(drift, "; "), "changed"});

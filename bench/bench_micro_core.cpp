@@ -22,7 +22,6 @@
 #include "similarity/extraction.h"
 #include "specs/spec_db.h"
 #include "specs/x86_manual.h"
-#include "specs/x86_parser.h"
 #include "support/rng.h"
 #include "synthesis/cache.h"
 #include "trace_cli.h"
@@ -108,7 +107,7 @@ BM_ParseAndCanonicalize(benchmark::State &state)
         if (candidate.name == "_mm512_unpacklo_epi8")
             inst = &candidate;
     for (auto _ : state) {
-        SpecFunction fn = parseX86Inst(*inst);
+        SpecFunction fn = parseWithDialect("x86", *inst);
         benchmark::DoNotOptimize(canonicalize(fn));
     }
 }

@@ -17,7 +17,6 @@
 #include "halide/kernels.h"
 #include "hir/canonicalize.h"
 #include "specs/spec_db.h"
-#include "specs/x86_parser.h"
 #include "support/strings.h"
 #include "synthesis/cegis.h"
 
@@ -77,7 +76,7 @@ main()
     std::vector<CanonicalSemantics> vdsp_sema;
     for (const auto &inst : manual.insts) {
         InstDef def = inst;
-        SpecFunction fn = parseX86Inst(def);
+        SpecFunction fn = parseWithDialect("x86", def);
         fn.isa = "vdsp";
         CanonicalizeResult canon = canonicalize(fn);
         if (!canon.ok) {

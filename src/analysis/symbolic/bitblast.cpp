@@ -60,16 +60,6 @@ svInputs(Aig &aig, int width)
     return out;
 }
 
-BitVector
-svEval(const Aig &aig, const SymVec &v,
-       const std::vector<uint8_t> &input_values)
-{
-    BitVector out(v.width());
-    for (int i = 0; i < v.width(); ++i)
-        out.setBit(i, aig.evalLit(v.bits[i], input_values));
-    return out;
-}
-
 SymVec
 svAnd(Aig &aig, const SymVec &a, const SymVec &b)
 {

@@ -55,10 +55,6 @@ SymVec svConst(const BitVector &value);
 /** Fresh unconstrained inputs, one per bit. */
 SymVec svInputs(Aig &aig, int width);
 
-/** Concrete evaluation of a SymVec under per-input 0/1 values. */
-BitVector svEval(const Aig &aig, const SymVec &v,
-                 const std::vector<uint8_t> &input_values);
-
 // ---- Bitwise ------------------------------------------------------------
 
 SymVec svAnd(Aig &aig, const SymVec &a, const SymVec &b);

@@ -45,6 +45,34 @@ llvmHvxAllows(const std::string &name)
     return true;
 }
 
+/**
+ * Macro-expand every window of `kernel` on its own (one group per
+ * window) into `out`; false as soon as a window does not expand.
+ */
+bool
+expandEveryWindow(MacroExpander &expander, const Kernel &kernel,
+                  const std::string &backend, const std::string &isa,
+                  CompiledKernel &out)
+{
+    Stopwatch watch;
+    out.backend = backend;
+    out.kernel = kernel.name;
+    out.isa = isa;
+    out.programs.clear();
+    out.windows.clear();
+    out.groups.clear();
+    for (size_t w = 0; w < kernel.windows.size(); ++w) {
+        ExpandResult expanded = expander.expand(kernel.windows[w]);
+        if (!expanded.ok)
+            return false;
+        out.programs.push_back(std::move(expanded.program));
+        out.windows.push_back(kernel.windows[w]);
+        out.groups.push_back(static_cast<int>(w));
+    }
+    out.compile_seconds = watch.seconds();
+    return true;
+}
+
 } // namespace
 
 LlvmStyleBackend::LlvmStyleBackend(const AutoLLVMDict &dict, std::string isa,
@@ -62,23 +90,7 @@ LlvmStyleBackend::LlvmStyleBackend(const AutoLLVMDict &dict, std::string isa,
 bool
 LlvmStyleBackend::compile(const Kernel &kernel, CompiledKernel &out)
 {
-    Stopwatch watch;
-    out.backend = name();
-    out.kernel = kernel.name;
-    out.isa = isa_;
-    out.programs.clear();
-    out.windows.clear();
-    out.groups.clear();
-    for (size_t w = 0; w < kernel.windows.size(); ++w) {
-        ExpandResult expanded = expander_.expand(kernel.windows[w]);
-        if (!expanded.ok)
-            return false;
-        out.programs.push_back(std::move(expanded.program));
-        out.windows.push_back(kernel.windows[w]);
-        out.groups.push_back(static_cast<int>(w));
-    }
-    out.compile_seconds = watch.seconds();
-    return true;
+    return expandEveryWindow(expander_, kernel, name(), isa_, out);
 }
 
 // ---- HalideProdBackend ------------------------------------------------------
@@ -418,23 +430,7 @@ RakeBackend::compile(const Kernel &kernel, CompiledKernel &out)
         return false; // Rake fails to compile any ARM benchmark.
     if (!rakeKernels().count(kernel.name))
         return false;
-    Stopwatch watch;
-    out.backend = name();
-    out.kernel = kernel.name;
-    out.isa = isa_;
-    out.programs.clear();
-    out.windows.clear();
-    out.groups.clear();
-    for (size_t w = 0; w < kernel.windows.size(); ++w) {
-        ExpandResult expanded = expander_.expand(kernel.windows[w]);
-        if (!expanded.ok)
-            return false;
-        out.programs.push_back(std::move(expanded.program));
-        out.windows.push_back(kernel.windows[w]);
-        out.groups.push_back(static_cast<int>(w));
-    }
-    out.compile_seconds = watch.seconds();
-    return true;
+    return expandEveryWindow(expander_, kernel, name(), isa_, out);
 }
 
 // ---- HydrideBackend ---------------------------------------------------------

@@ -112,49 +112,4 @@ printSemantics(const CanonicalSemantics &sem)
     return os.str();
 }
 
-namespace {
-
-void
-printStmtInto(const StmtPtr &stmt, int indent, std::ostringstream &os)
-{
-    const std::string pad(static_cast<size_t>(indent) * 2, ' ');
-    switch (stmt->kind) {
-      case StmtKind::For:
-        os << pad << "for " << stmt->var << " := " << printExpr(stmt->lo)
-           << " to " << printExpr(stmt->hi) << " {\n";
-        for (const auto &inner : stmt->body)
-            printStmtInto(inner, indent + 1, os);
-        os << pad << "}\n";
-        break;
-      case StmtKind::SliceAssign:
-        os << pad << "dst[" << printExpr(stmt->low) << " +: "
-           << printExpr(stmt->width) << "] := " << printExpr(stmt->value)
-           << "\n";
-        break;
-      case StmtKind::LetInt:
-        os << pad << stmt->var << " := " << printExpr(stmt->lo) << "\n";
-        break;
-    }
-}
-
-} // namespace
-
-std::string
-printSpecFunction(const SpecFunction &spec)
-{
-    std::ostringstream os;
-    os << "spec " << spec.name << " [" << spec.isa << "] (";
-    for (size_t i = 0; i < spec.bv_args.size(); ++i) {
-        if (i)
-            os << ", ";
-        os << spec.bv_args[i].name << ": bv[" << printExpr(spec.bv_args[i].width)
-           << "]";
-    }
-    os << ") -> bv[" << spec.out_width << "] {\n";
-    for (const auto &stmt : spec.body)
-        printStmtInto(stmt, 1, os);
-    os << "}\n";
-    return os.str();
-}
-
 } // namespace hydride

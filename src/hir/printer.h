@@ -18,9 +18,6 @@ std::string printExpr(const ExprPtr &expr);
 /** Render canonical semantics as a readable loop-nest description. */
 std::string printSemantics(const CanonicalSemantics &sem);
 
-/** Render a statement-form spec function. */
-std::string printSpecFunction(const SpecFunction &spec);
-
 } // namespace hydride
 
 #endif // HYDRIDE_HIR_PRINTER_H

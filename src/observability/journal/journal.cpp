@@ -352,14 +352,6 @@ setOutputPath(const std::string &path)
     c.path = path;
 }
 
-std::string
-outputPath()
-{
-    Core &c = core();
-    std::lock_guard<std::mutex> lock(c.file_mutex);
-    return c.path;
-}
-
 void
 setFlightDir(const std::string &dir)
 {
@@ -381,12 +373,6 @@ setFlightCapacity(size_t capacity)
 {
     core().flight_capacity.store(capacity > 0 ? capacity : 1,
                                  std::memory_order_relaxed);
-}
-
-size_t
-flightCapacity()
-{
-    return core().flight_capacity.load(std::memory_order_relaxed);
 }
 
 std::string

@@ -121,7 +121,6 @@ void flush();
  * a new path closes the previous file (after flushing into it).
  */
 void setOutputPath(const std::string &path);
-std::string outputPath();
 
 /** Directory flight dumps land in (default: env::artifactDir()). */
 void setFlightDir(const std::string &dir);
@@ -129,7 +128,6 @@ std::string flightDir();
 
 /** Per-thread flight-ring capacity (default 128 events). */
 void setFlightCapacity(size_t capacity);
-size_t flightCapacity();
 
 /**
  * Write the flight ring as `hydride-flight-<pid>.json` under

@@ -1,269 +1,156 @@
-#include "specs/arm_parser.h"
-
+/**
+ * @file
+ * The ARM (ASL / ARM Developer-style) pseudocode dialect:
+ *
+ *   INSTRUCTION name (a: bits(128), n: imm, ...) => bits(128) LATENCY k
+ *     for e = 0 to 7 do
+ *       Elem[dst, e, 16] = SExt(Elem[a, e, 16], 17) + ...;
+ *     endfor
+ *   ENDINSTRUCTION
+ *
+ * `Elem[x, e, w]` denotes the w-bit element e of x (also on the
+ * left-hand side), `Bits(x, hi, lo)` a raw bit-slice, and `dst = e;`
+ * a whole-register assignment.
+ */
 #include "specs/parser_common.h"
-#include "support/error.h"
 
 namespace hydride {
 
 namespace {
 
-class ArmParser : public ExprParserBase
+int64_t
+bitsType(PseudocodeParser &p)
 {
-  public:
-    explicit ArmParser(const InstDef &inst)
-        : ExprParserBase(lexPseudocode(inst.pseudocode), "arm:" + inst.name)
-    {
+    p.expect("bits");
+    p.expect("(");
+    const int64_t width = p.expectNumber();
+    p.expect(")");
+    return width;
+}
+
+StmtPtr
+statement(PseudocodeParser &p)
+{
+    if (p.accept("for")) {
+        const std::string var = p.expectIdent();
+        p.expect("=");
+        TypedExpr lo = p.parseLocatedExpr();
+        p.expect("to");
+        TypedExpr hi = p.parseLocatedExpr();
+        p.expect("do");
+        return p.loop(var, lo, hi, "for", "endfor");
     }
-
-    SpecFunction
-    parse()
-    {
-        cur_.expect("INSTRUCTION");
-        fn_.isa = "arm";
-        fn_.name = cur_.expectIdent();
-        cur_.expect("(");
-        if (!cur_.lookingAt(")")) {
-            do {
-                const std::string arg_name = cur_.expectIdent();
-                cur_.expect(":");
-                if (cur_.accept("imm")) {
-                    fn_.int_args.push_back(arg_name);
-                    scope_.int_vars[arg_name] = true;
-                } else {
-                    cur_.expect("bits");
-                    cur_.expect("(");
-                    const int width = static_cast<int>(cur_.expectNumber());
-                    cur_.expect(")");
-                    ParseScope::BVSym sym;
-                    sym.index = static_cast<int>(fn_.bv_args.size());
-                    sym.width = width;
-                    scope_.bv_args[arg_name] = sym;
-                    fn_.bv_args.push_back({arg_name, intConst(width)});
-                }
-            } while (cur_.accept(","));
-        }
-        cur_.expect(")");
-        cur_.expect("=>");
-        cur_.expect("bits");
-        cur_.expect("(");
-        fn_.out_width = static_cast<int>(cur_.expectNumber());
-        cur_.expect(")");
-        cur_.expect("LATENCY");
-        fn_.latency = static_cast<int>(cur_.expectNumber());
-        fn_.body = parseStmts({"ENDINSTRUCTION"});
-        cur_.expect("ENDINSTRUCTION");
-        return std::move(fn_);
+    if (p.accept("Elem")) {
+        p.expect("[");
+        p.expect("dst");
+        p.expect(",");
+        TypedExpr idx = p.parseLocatedExpr();
+        p.expect(",");
+        TypedExpr width_e = p.parseLocatedExpr();
+        p.expect("]");
+        p.requireInt(idx, "element index");
+        const int width = p.constOf(width_e.expr, "element width");
+        return p.assignDst(mulI(idx.expr, intConst(width)), width,
+                           "element");
     }
+    if (!p.accept("dst"))
+        return nullptr;
+    TypedExpr value = p.assignedValue();
+    if (!value.is_bv)
+        p.fail("whole-register assignment must be a bitvector");
+    return stmtSliceAssign(intConst(0), intConst(value.width), value.expr);
+}
 
-  private:
-    std::vector<StmtPtr>
-    parseStmts(const std::vector<std::string> &terminators)
-    {
-        std::vector<StmtPtr> stmts;
-        while (true) {
-            for (const auto &term : terminators)
-                if (cur_.lookingAt(term))
-                    return stmts;
-            stmts.push_back(parseStmt());
-        }
-    }
+/** `Elem[x, e, w]`. */
+bool
+element(PseudocodeParser &p, TypedExpr &out)
+{
+    if (!p.accept("Elem"))
+        return false;
+    p.expect("[");
+    TypedExpr base = p.parseExpr();
+    if (!base.is_bv)
+        p.fail("Elem base must be a bitvector");
+    p.expect(",");
+    TypedExpr idx = p.parseExpr();
+    p.requireInt(idx, "element index");
+    p.expect(",");
+    TypedExpr width_e = p.parseExpr();
+    p.expect("]");
+    const int width = p.constOf(width_e.expr, "element width");
+    out = p.bits(base.expr, mulI(idx.expr, intConst(width)), width);
+    return true;
+}
 
-    StmtPtr
-    parseStmt()
-    {
-        if (cur_.accept("for")) {
-            const std::string var = cur_.expectIdent();
-            cur_.expect("=");
-            TypedExpr lo = parseLocatedExpr();
-            cur_.expect("to");
-            TypedExpr hi = parseLocatedExpr();
-            cur_.expect("do");
-            requireInt(lo, "for lower bound");
-            requireInt(hi, "for upper bound");
-            scope_.int_vars[var] = true;
-            std::vector<StmtPtr> body = parseStmts({"endfor"});
-            cur_.expect("endfor");
-            scope_.int_vars.erase(var);
-            return stmtFor(var, lo.expr, hi.expr, std::move(body));
-        }
-        if (cur_.lookingAt("Elem")) {
-            cur_.take();
-            cur_.expect("[");
-            cur_.expect("dst");
-            cur_.expect(",");
-            TypedExpr idx = parseLocatedExpr();
-            cur_.expect(",");
-            TypedExpr width_e = parseLocatedExpr();
-            cur_.expect("]");
-            cur_.expect("=");
-            TypedExpr value = parseLocatedExpr();
-            cur_.expect(";");
-            requireInt(idx, "element index");
-            const int width = constOf(width_e.expr, "element width");
-            if (!value.is_bv)
-                value = coerceLiteral(value, width);
-            if (value.width != width)
-                cur_.fail("element width mismatch in assignment to dst");
-            return stmtSliceAssign(mulI(idx.expr, intConst(width)),
-                                   intConst(width), value.expr);
-        }
-        if (cur_.lookingAt("dst")) {
-            // Raw whole/partial register assignment: dst = expr; or
-            // Bits-style positions are not needed on the LHS, vendor
-            // text uses `dst = expr;` for whole-register ops.
-            cur_.take();
-            cur_.expect("=");
-            TypedExpr value = parseLocatedExpr();
-            cur_.expect(";");
-            if (!value.is_bv)
-                cur_.fail("whole-register assignment must be a bitvector");
-            return stmtSliceAssign(intConst(0), intConst(value.width),
-                                   value.expr);
-        }
-        const std::string var = cur_.expectIdent();
-        cur_.expect("=");
-        TypedExpr value = parseLocatedExpr();
-        cur_.expect(";");
-        requireInt(value, "let binding");
-        scope_.int_vars[var] = true;
-        return stmtLetInt(var, value.expr);
-    }
+/** UGT(a, b) / UGE(a, b): unsigned a > b / a >= b, i.e. b < a. */
+TypedExpr
+unsignedCompare(PseudocodeParser &p, std::vector<TypedExpr> &args,
+                const std::string &name)
+{
+    p.arity(args, 2, name);
+    return p.makeCompare(name == "UGT" ? "<" : "<=", args[1], args[0],
+                         /*unsigned_cmp=*/true);
+}
 
-    TypedExpr
-    parsePrimary() override
-    {
-        if (cur_.peek().kind == TokKind::Number) {
-            TypedExpr out;
-            out.expr = intConst(cur_.take().number);
-            return out;
-        }
-        if (cur_.accept("(")) {
-            TypedExpr inner = parseExpr();
-            cur_.expect(")");
-            return inner;
-        }
-        if (cur_.lookingAt("Elem")) {
-            cur_.take();
-            cur_.expect("[");
-            TypedExpr base = parseExpr();
-            if (!base.is_bv)
-                cur_.fail("Elem base must be a bitvector");
-            cur_.expect(",");
-            TypedExpr idx = parseExpr();
-            requireInt(idx, "element index");
-            cur_.expect(",");
-            TypedExpr width_e = parseExpr();
-            cur_.expect("]");
-            const int width = constOf(width_e.expr, "element width");
-            TypedExpr out;
-            out.is_bv = true;
-            out.width = width;
-            out.expr = extract(base.expr, mulI(idx.expr, intConst(width)),
-                               intConst(width));
-            return out;
-        }
-        const std::string name = cur_.expectIdent();
-        if (cur_.lookingAt("(") && !scope_.isBV(name) && !scope_.isInt(name))
-            return parseCall(name);
-        if (scope_.isBV(name)) {
-            const auto &sym = scope_.bv_args.at(name);
-            TypedExpr out;
-            out.is_bv = true;
-            out.width = sym.width;
-            out.expr = argBV(sym.index);
-            return out;
-        }
-        if (scope_.isInt(name)) {
-            TypedExpr out;
-            out.expr = namedVar(name);
-            return out;
-        }
-        cur_.fail("unknown identifier `" + name + "`");
-    }
+/** Bits(x, hi, lo). */
+TypedExpr
+bitSlice(PseudocodeParser &p, std::vector<TypedExpr> &args,
+         const std::string &name)
+{
+    p.arity(args, 3, name);
+    if (!args[0].is_bv)
+        p.fail("Bits base must be a bitvector");
+    p.requireInt(args[1], "Bits high index");
+    p.requireInt(args[2], "Bits low index");
+    return p.bits(args[0].expr, args[2].expr,
+                  p.sliceWidth(args[1].expr, args[2].expr));
+}
 
-    TypedExpr
-    parseCall(const std::string &name)
-    {
-        cur_.expect("(");
-        std::vector<TypedExpr> args;
-        if (!cur_.lookingAt(")")) {
-            do {
-                args.push_back(parseExpr());
-            } while (cur_.accept(","));
-        }
-        cur_.expect(")");
+/** Ones(w) / Zeros(w). */
+TypedExpr
+constant(PseudocodeParser &p, std::vector<TypedExpr> &args,
+         const std::string &name)
+{
+    return p.fill(args, name, name == "Ones" ? -1 : 0);
+}
 
-        if (name == "SExt")
-            return callCast(BVCastOp::SExt, args, name);
-        if (name == "ZExt")
-            return callCast(BVCastOp::ZExt, args, name);
-        if (name == "Trunc")
-            return callCast(BVCastOp::Trunc, args, name);
-        if (name == "SSat")
-            return callCast(BVCastOp::SatNarrowS, args, name);
-        if (name == "USat")
-            return callCast(BVCastOp::SatNarrowU, args, name);
-        if (name == "SMin")
-            return callBin(BVBinOp::MinS, args, name);
-        if (name == "SMax")
-            return callBin(BVBinOp::MaxS, args, name);
-        if (name == "UMin")
-            return callBin(BVBinOp::MinU, args, name);
-        if (name == "UMax")
-            return callBin(BVBinOp::MaxU, args, name);
-        if (name == "SAvg")
-            return callBin(BVBinOp::AvgS, args, name);
-        if (name == "UAvg")
-            return callBin(BVBinOp::AvgU, args, name);
-        if (name == "Abs")
-            return callUn(BVUnOp::AbsS, args, name);
-        if (name == "PopCount")
-            return callUn(BVUnOp::Popcount, args, name);
-        if (name == "UGT" || name == "UGE") {
-            if (args.size() != 2)
-                cur_.fail(name + " expects 2 arguments");
-            // UGT(a, b) == b <u a.
-            return makeCompare(name == "UGT" ? "<" : "<=", args[1], args[0],
-                               /*unsigned_cmp=*/true);
-        }
-        if (name == "Bits") {
-            if (args.size() != 3)
-                cur_.fail("Bits expects 3 arguments");
-            if (!args[0].is_bv)
-                cur_.fail("Bits base must be a bitvector");
-            requireInt(args[1], "Bits high index");
-            requireInt(args[2], "Bits low index");
-            TypedExpr out;
-            out.is_bv = true;
-            out.width = sliceWidth(args[1].expr, args[2].expr);
-            out.expr = extract(args[0].expr, args[2].expr,
-                               intConst(out.width));
-            return out;
-        }
-        if (name == "Ones" || name == "Zeros") {
-            if (args.size() != 1)
-                cur_.fail(name + " expects 1 argument");
-            requireInt(args[0], name + " width");
-            const int width = constOf(args[0].expr, name + " width");
-            TypedExpr out;
-            out.is_bv = true;
-            out.width = width;
-            out.expr = bvConst(intConst(width),
-                               intConst(name == "Ones" ? -1 : 0));
-            return out;
-        }
-        cur_.fail("unknown function `" + name + "`");
-    }
-
-    SpecFunction fn_;
+constexpr Intrinsic kIntrinsics[] = {
+    {"SExt", BVCastOp::SExt},
+    {"ZExt", BVCastOp::ZExt},
+    {"Trunc", BVCastOp::Trunc},
+    {"SSat", BVCastOp::SatNarrowS},
+    {"USat", BVCastOp::SatNarrowU},
+    {"SMin", BVBinOp::MinS},
+    {"SMax", BVBinOp::MaxS},
+    {"UMin", BVBinOp::MinU},
+    {"UMax", BVBinOp::MaxU},
+    {"SAvg", BVBinOp::AvgS},
+    {"UAvg", BVBinOp::AvgU},
+    {"Abs", BVUnOp::AbsS},
+    {"PopCount", BVUnOp::Popcount},
+    {"UGT", unsignedCompare},
+    {"UGE", unsignedCompare},
+    {"Bits", bitSlice},
+    {"Ones", constant},
+    {"Zeros", constant},
 };
 
 } // namespace
 
-SpecFunction
-parseArmInst(const InstDef &inst)
-{
-    return ArmParser(inst).parse();
-}
+const Dialect kArmDialect = {
+    .isa = "arm",
+    .define = "INSTRUCTION",
+    .arrow = "=>",
+    .latency = "LATENCY",
+    .body_open = "",
+    .body_close = "ENDINSTRUCTION",
+    .assign = "=",
+    .stmt_end = ";",
+    .intrinsics = kIntrinsics,
+    .type = bitsType,
+    .stmt = statement,
+    .postfix = nullptr,
+    .atom = element,
+};
 
 } // namespace hydride

@@ -1,285 +1,127 @@
-#include "specs/hvx_parser.h"
-
+/**
+ * @file
+ * The HVX (Qualcomm PRM C-style) pseudocode dialect:
+ *
+ *   INST name(Vu: vN | Rt: imm, ...) -> vN LAT k {
+ *     for (i = 0; i < N; i++) { ... }
+ *     dst.h[idx] = expr;        // lane accessor assignment
+ *     dst[hi:lo] = expr;        // raw bit-slice assignment
+ *   }
+ *
+ * Lane accessors `.b/.h/.w` (and unsigned aliases `.ub/.uh/.uw`)
+ * denote 8/16/32-bit elements.
+ */
 #include "specs/parser_common.h"
-#include "support/error.h"
 
 namespace hydride {
 
 namespace {
 
-/** Lane accessor table: suffix -> element width. */
-int
-laneWidth(const std::string &suffix)
+/** `vN`: a vector of N bits. */
+int64_t
+vecType(PseudocodeParser &p)
 {
-    if (suffix == "b" || suffix == "ub")
-        return 8;
-    if (suffix == "h" || suffix == "uh")
-        return 16;
-    if (suffix == "w" || suffix == "uw")
-        return 32;
-    return 0;
+    const std::string type = p.expectIdent();
+    int64_t width = 0;
+    if (type[0] != 'v' || !parseDecimal(std::string_view(type).substr(1),
+                                        width))
+        p.fail("expected vector type `vN`");
+    return width;
 }
 
-class HvxParser : public ExprParserBase
+/** `.<suffix>[idx]` after the `.`: the lane's low bit and width. */
+std::pair<ExprPtr, int>
+lane(PseudocodeParser &p, bool located)
 {
-  public:
-    explicit HvxParser(const InstDef &inst)
-        : ExprParserBase(lexPseudocode(inst.pseudocode), "hvx:" + inst.name)
-    {
+    const std::string suffix = p.expectIdent();
+    const int width = suffix == "b" || suffix == "ub"   ? 8
+                      : suffix == "h" || suffix == "uh" ? 16
+                      : suffix == "w" || suffix == "uw" ? 32
+                                                        : 0;
+    if (width == 0)
+        p.fail("unknown lane accessor `." + suffix + "`");
+    p.expect("[");
+    TypedExpr idx = located ? p.parseLocatedExpr() : p.parseExpr();
+    p.requireInt(idx, "lane index");
+    p.expect("]");
+    return {mulI(idx.expr, intConst(width)), width};
+}
+
+StmtPtr
+statement(PseudocodeParser &p)
+{
+    if (p.accept("for")) {
+        p.expect("(");
+        const std::string var = p.expectIdent();
+        p.expect("=");
+        TypedExpr lo = p.parseLocatedExpr();
+        p.requireInt(lo, "for lower bound");
+        p.expect(";");
+        if (p.expectIdent() != var)
+            p.fail("for-loop condition must test the loop variable");
+        p.expect("<");
+        TypedExpr bound = p.parseLocatedExpr();
+        p.requireInt(bound, "for upper bound");
+        p.expect(";");
+        if (p.expectIdent() != var)
+            p.fail("for-loop increment must bump the loop variable");
+        p.expect("+");
+        p.expect("+");
+        p.expect(")");
+        p.expect("{");
+        TypedExpr hi{simplify(subI(bound.expr, intConst(1)))};
+        return p.loop(var, lo, hi, "for", "}");
     }
+    if (!p.accept("dst"))
+        return nullptr;
+    const auto [low, width] =
+        p.accept(".") ? lane(p, /*located=*/true) : p.dstSlice();
+    return p.assignDst(low, width, "lane");
+}
 
-    SpecFunction
-    parse()
-    {
-        cur_.expect("INST");
-        fn_.isa = "hvx";
-        fn_.name = cur_.expectIdent();
-        cur_.expect("(");
-        if (!cur_.lookingAt(")")) {
-            do {
-                const std::string arg_name = cur_.expectIdent();
-                cur_.expect(":");
-                if (cur_.accept("imm")) {
-                    fn_.int_args.push_back(arg_name);
-                    scope_.int_vars[arg_name] = true;
-                } else {
-                    const int width = expectVecType();
-                    ParseScope::BVSym sym;
-                    sym.index = static_cast<int>(fn_.bv_args.size());
-                    sym.width = width;
-                    scope_.bv_args[arg_name] = sym;
-                    fn_.bv_args.push_back({arg_name, intConst(width)});
-                }
-            } while (cur_.accept(","));
-        }
-        cur_.expect(")");
-        cur_.expect("->");
-        fn_.out_width = expectVecType();
-        cur_.expect("LAT");
-        fn_.latency = static_cast<int>(cur_.expectNumber());
-        cur_.expect("{");
-        fn_.body = parseStmts();
-        cur_.expect("}");
-        return std::move(fn_);
-    }
+/** `.<suffix>[idx]` or a `[hi:lo]` slice. */
+bool
+postfix(PseudocodeParser &p, TypedExpr &base)
+{
+    if (!p.accept("."))
+        return PseudocodeParser::slicePostfix(p, base);
+    const auto [low, width] = lane(p, /*located=*/false);
+    base = p.bits(base.expr, low, width);
+    return true;
+}
 
-  private:
-    /** Parse `vN` as a vector type, returning the width N. */
-    int
-    expectVecType()
-    {
-        const std::string type = cur_.expectIdent();
-        if (type.size() < 2 || type[0] != 'v')
-            cur_.fail("expected vector type `vN`");
-        return std::stoi(type.substr(1));
-    }
-
-    std::vector<StmtPtr>
-    parseStmts()
-    {
-        std::vector<StmtPtr> stmts;
-        while (!cur_.lookingAt("}"))
-            stmts.push_back(parseStmt());
-        return stmts;
-    }
-
-    StmtPtr
-    parseStmt()
-    {
-        if (cur_.accept("for")) {
-            cur_.expect("(");
-            const std::string var = cur_.expectIdent();
-            cur_.expect("=");
-            TypedExpr lo = parseLocatedExpr();
-            requireInt(lo, "for lower bound");
-            cur_.expect(";");
-            const std::string var2 = cur_.expectIdent();
-            if (var2 != var)
-                cur_.fail("for-loop condition must test the loop variable");
-            cur_.expect("<");
-            TypedExpr bound = parseLocatedExpr();
-            requireInt(bound, "for upper bound");
-            cur_.expect(";");
-            const std::string var3 = cur_.expectIdent();
-            if (var3 != var)
-                cur_.fail("for-loop increment must bump the loop variable");
-            cur_.expect("+");
-            cur_.expect("+");
-            cur_.expect(")");
-            cur_.expect("{");
-            scope_.int_vars[var] = true;
-            std::vector<StmtPtr> body = parseStmts();
-            cur_.expect("}");
-            scope_.int_vars.erase(var);
-            return stmtFor(var, lo.expr,
-                           simplify(subI(bound.expr, intConst(1))),
-                           std::move(body));
-        }
-        if (cur_.lookingAt("dst")) {
-            cur_.take();
-            ExprPtr low;
-            int width = 0;
-            if (cur_.accept(".")) {
-                const std::string suffix = cur_.expectIdent();
-                width = laneWidth(suffix);
-                if (width == 0)
-                    cur_.fail("unknown lane accessor `." + suffix + "`");
-                cur_.expect("[");
-                TypedExpr idx = parseLocatedExpr();
-                requireInt(idx, "lane index");
-                cur_.expect("]");
-                low = mulI(idx.expr, intConst(width));
-            } else {
-                cur_.expect("[");
-                TypedExpr hi = parseLocatedExpr();
-                cur_.expect(":");
-                TypedExpr lo = parseLocatedExpr();
-                cur_.expect("]");
-                requireInt(hi, "slice high index");
-                requireInt(lo, "slice low index");
-                width = sliceWidth(hi.expr, lo.expr);
-                low = lo.expr;
-            }
-            cur_.expect("=");
-            TypedExpr value = parseLocatedExpr();
-            cur_.expect(";");
-            if (!value.is_bv)
-                value = coerceLiteral(value, width);
-            if (value.width != width)
-                cur_.fail("lane width mismatch in assignment to dst");
-            return stmtSliceAssign(low, intConst(width), value.expr);
-        }
-        const std::string var = cur_.expectIdent();
-        cur_.expect("=");
-        TypedExpr value = parseLocatedExpr();
-        cur_.expect(";");
-        requireInt(value, "let binding");
-        scope_.int_vars[var] = true;
-        return stmtLetInt(var, value.expr);
-    }
-
-    TypedExpr
-    parsePrimary() override
-    {
-        TypedExpr base = parseAtom();
-        while (base.is_bv) {
-            if (cur_.accept(".")) {
-                const std::string suffix = cur_.expectIdent();
-                const int width = laneWidth(suffix);
-                if (width == 0)
-                    cur_.fail("unknown lane accessor `." + suffix + "`");
-                cur_.expect("[");
-                TypedExpr idx = parseExpr();
-                requireInt(idx, "lane index");
-                cur_.expect("]");
-                TypedExpr out;
-                out.is_bv = true;
-                out.width = width;
-                out.expr = extract(base.expr, mulI(idx.expr, intConst(width)),
-                                   intConst(width));
-                base = out;
-            } else if (cur_.lookingAt("[")) {
-                cur_.take();
-                TypedExpr hi = parseExpr();
-                requireInt(hi, "slice index");
-                cur_.expect(":");
-                TypedExpr lo = parseExpr();
-                requireInt(lo, "slice low index");
-                cur_.expect("]");
-                TypedExpr out;
-                out.is_bv = true;
-                out.width = sliceWidth(hi.expr, lo.expr);
-                out.expr = extract(base.expr, lo.expr, intConst(out.width));
-                base = out;
-            } else {
-                break;
-            }
-        }
-        return base;
-    }
-
-    TypedExpr
-    parseAtom()
-    {
-        if (cur_.peek().kind == TokKind::Number) {
-            TypedExpr out;
-            out.expr = intConst(cur_.take().number);
-            return out;
-        }
-        if (cur_.accept("(")) {
-            TypedExpr inner = parseExpr();
-            cur_.expect(")");
-            return inner;
-        }
-        const std::string name = cur_.expectIdent();
-        if (cur_.lookingAt("(") && !scope_.isBV(name) && !scope_.isInt(name))
-            return parseCall(name);
-        if (scope_.isBV(name)) {
-            const auto &sym = scope_.bv_args.at(name);
-            TypedExpr out;
-            out.is_bv = true;
-            out.width = sym.width;
-            out.expr = argBV(sym.index);
-            return out;
-        }
-        if (scope_.isInt(name)) {
-            TypedExpr out;
-            out.expr = namedVar(name);
-            return out;
-        }
-        cur_.fail("unknown identifier `" + name + "`");
-    }
-
-    TypedExpr
-    parseCall(const std::string &name)
-    {
-        cur_.expect("(");
-        std::vector<TypedExpr> args;
-        if (!cur_.lookingAt(")")) {
-            do {
-                args.push_back(parseExpr());
-            } while (cur_.accept(","));
-        }
-        cur_.expect(")");
-
-        if (name == "sxt")
-            return callCast(BVCastOp::SExt, args, name);
-        if (name == "zxt")
-            return callCast(BVCastOp::ZExt, args, name);
-        if (name == "trunc")
-            return callCast(BVCastOp::Trunc, args, name);
-        if (name == "sat")
-            return callCast(BVCastOp::SatNarrowS, args, name);
-        if (name == "usat")
-            return callCast(BVCastOp::SatNarrowU, args, name);
-        if (name == "min")
-            return callBin(BVBinOp::MinS, args, name);
-        if (name == "max")
-            return callBin(BVBinOp::MaxS, args, name);
-        if (name == "minu")
-            return callBin(BVBinOp::MinU, args, name);
-        if (name == "maxu")
-            return callBin(BVBinOp::MaxU, args, name);
-        if (name == "avg")
-            return callBin(BVBinOp::AvgS, args, name);
-        if (name == "avgu")
-            return callBin(BVBinOp::AvgU, args, name);
-        if (name == "abs")
-            return callUn(BVUnOp::AbsS, args, name);
-        if (name == "popcount")
-            return callUn(BVUnOp::Popcount, args, name);
-        cur_.fail("unknown function `" + name + "`");
-    }
-
-    SpecFunction fn_;
+constexpr Intrinsic kIntrinsics[] = {
+    {"sxt", BVCastOp::SExt},
+    {"zxt", BVCastOp::ZExt},
+    {"trunc", BVCastOp::Trunc},
+    {"sat", BVCastOp::SatNarrowS},
+    {"usat", BVCastOp::SatNarrowU},
+    {"min", BVBinOp::MinS},
+    {"max", BVBinOp::MaxS},
+    {"minu", BVBinOp::MinU},
+    {"maxu", BVBinOp::MaxU},
+    {"avg", BVBinOp::AvgS},
+    {"avgu", BVBinOp::AvgU},
+    {"abs", BVUnOp::AbsS},
+    {"popcount", BVUnOp::Popcount},
 };
 
 } // namespace
 
-SpecFunction
-parseHvxInst(const InstDef &inst)
-{
-    return HvxParser(inst).parse();
-}
+const Dialect kHvxDialect = {
+    .isa = "hvx",
+    .define = "INST",
+    .arrow = "->",
+    .latency = "LAT",
+    .body_open = "{",
+    .body_close = "}",
+    .assign = "=",
+    .stmt_end = ";",
+    .intrinsics = kIntrinsics,
+    .type = vecType,
+    .stmt = statement,
+    .postfix = postfix,
+    .atom = nullptr,
+};
 
 } // namespace hydride

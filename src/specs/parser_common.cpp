@@ -1,15 +1,42 @@
 #include "specs/parser_common.h"
 
+#include "hir/bitvector.h"
 #include "observability/metrics.h"
 #include "support/error.h"
-#include "support/strings.h"
 
+#include <algorithm>
 #include <cctype>
+#include <charconv>
 
 namespace hydride {
 
+namespace {
+
+/** Count and raise one pseudocode diagnostic. Malformed pseudocode is
+ *  recoverable library input: SpecDB skips the instruction instead of
+ *  the library exiting the process. */
+[[noreturn]] void
+parseFail(const std::string &source, int line, const std::string &message)
+{
+    metrics::counter("specs.parser.diagnostics").add();
+    throw ParseError(source, line, message);
+}
+
+} // namespace
+
+bool
+parseDecimal(std::string_view digits, int64_t &value)
+{
+    // from_chars would also take a leading '-'.
+    if (digits.empty() || !std::isdigit(static_cast<unsigned char>(digits[0])))
+        return false;
+    const char *end = digits.data() + digits.size();
+    const auto [ptr, ec] = std::from_chars(digits.data(), end, value);
+    return ec == std::errc() && ptr == end;
+}
+
 std::vector<Token>
-lexPseudocode(const std::string &text)
+lexPseudocode(const std::string &text, const std::string &source_name)
 {
     std::vector<Token> tokens;
     int line = 1;
@@ -38,7 +65,9 @@ lexPseudocode(const std::string &text)
             Token tok;
             tok.kind = TokKind::Number;
             tok.text = text.substr(start, i - start);
-            tok.number = std::stoll(tok.text);
+            if (!parseDecimal(tok.text, tok.number))
+                parseFail(source_name, line,
+                          "integer literal `" + tok.text + "` out of range");
             tok.line = line;
             tokens.push_back(std::move(tok));
             continue;
@@ -82,15 +111,18 @@ lexPseudocode(const std::string &text)
     return tokens;
 }
 
-TokenCursor::TokenCursor(std::vector<Token> tokens, std::string source_name)
-    : tokens_(std::move(tokens)), source_name_(std::move(source_name))
+// ---- Token cursor -----------------------------------------------------------
+
+PseudocodeParser::PseudocodeParser(const Dialect &dialect,
+                                   const InstDef &inst)
+    : dialect_(dialect), source_name_(std::string(dialect.isa) + ":" +
+                                      inst.name),
+      tokens_(lexPseudocode(inst.pseudocode, source_name_))
 {
-    HYD_ASSERT(!tokens_.empty() && tokens_.back().kind == TokKind::End,
-               "token stream must end with End");
 }
 
 const Token &
-TokenCursor::peek(int ahead) const
+PseudocodeParser::peek(int ahead) const
 {
     const size_t index = std::min(pos_ + static_cast<size_t>(ahead),
                                   tokens_.size() - 1);
@@ -98,7 +130,7 @@ TokenCursor::peek(int ahead) const
 }
 
 Token
-TokenCursor::take()
+PseudocodeParser::take()
 {
     Token tok = tokens_[pos_];
     if (pos_ + 1 < tokens_.size())
@@ -107,7 +139,7 @@ TokenCursor::take()
 }
 
 Token
-TokenCursor::expect(const std::string &text)
+PseudocodeParser::expect(const std::string &text)
 {
     if (peek().text != text)
         fail("expected `" + text + "` but found `" + peek().text + "`");
@@ -115,7 +147,7 @@ TokenCursor::expect(const std::string &text)
 }
 
 std::string
-TokenCursor::expectIdent()
+PseudocodeParser::expectIdent()
 {
     if (peek().kind != TokKind::Ident)
         fail("expected identifier, found `" + peek().text + "`");
@@ -123,7 +155,7 @@ TokenCursor::expectIdent()
 }
 
 int64_t
-TokenCursor::expectNumber()
+PseudocodeParser::expectNumber()
 {
     if (peek().kind == TokKind::Number)
         return take().number;
@@ -136,7 +168,7 @@ TokenCursor::expectNumber()
 }
 
 bool
-TokenCursor::accept(const std::string &text)
+PseudocodeParser::accept(const std::string &text)
 {
     if (peek().text == text) {
         take();
@@ -146,144 +178,221 @@ TokenCursor::accept(const std::string &text)
 }
 
 bool
-TokenCursor::lookingAt(const std::string &text) const
+PseudocodeParser::lookingAt(const std::string &text) const
 {
     return peek().text == text;
 }
 
 void
-TokenCursor::fail(const std::string &message) const
+PseudocodeParser::fail(const std::string &message) const
 {
-    metrics::counter("specs.parser.diagnostics").add();
-    // Malformed pseudocode is recoverable library input: throw a
-    // structured error (SpecDB skips the instruction) instead of
-    // exiting the process from library code.
-    throw ParseError(source_name_, peek().line, message);
+    parseFail(source_name_, peek().line, message);
 }
 
-} // namespace hydride
+// ---- Signature and statements -----------------------------------------------
 
-namespace hydride {
+SpecFunction
+PseudocodeParser::parse()
+{
+    expect(dialect_.define);
+    fn_.isa = dialect_.isa;
+    fn_.name = expectIdent();
+    expect("(");
+    if (!lookingAt(")")) {
+        do {
+            const std::string arg_name = expectIdent();
+            expect(":");
+            if (accept("imm")) {
+                fn_.int_args.push_back(arg_name);
+                scope_.int_vars[arg_name] = true;
+            } else {
+                const int width = parseWidth();
+                scope_.bv_args[arg_name] = {
+                    static_cast<int>(fn_.bv_args.size()), width};
+                fn_.bv_args.push_back({arg_name, intConst(width)});
+            }
+        } while (accept(","));
+    }
+    expect(")");
+    expect(dialect_.arrow);
+    fn_.out_width = parseWidth();
+    expect(dialect_.latency);
+    fn_.latency = static_cast<int>(expectNumber());
+    if (*dialect_.body_open)
+        expect(dialect_.body_open);
+    fn_.body = parseStmts(dialect_.body_close);
+    expect(dialect_.body_close);
+    return std::move(fn_);
+}
 
-// ---- ExprParserBase ---------------------------------------------------------
+int
+PseudocodeParser::parseWidth()
+{
+    const int64_t width = dialect_.type(*this);
+    if (width < 1 || width > BitVector::kMaxWidth)
+        fail("width " + std::to_string(width) + " is outside [1, " +
+             std::to_string(BitVector::kMaxWidth) + "]");
+    return static_cast<int>(width);
+}
+
+std::vector<StmtPtr>
+PseudocodeParser::parseStmts(const std::string &end)
+{
+    std::vector<StmtPtr> stmts;
+    while (!lookingAt(end))
+        stmts.push_back(parseStmt());
+    return stmts;
+}
+
+StmtPtr
+PseudocodeParser::parseStmt()
+{
+    if (StmtPtr stmt = dialect_.stmt(*this))
+        return stmt;
+    // Integer let: ident <assign> int-expr
+    const std::string var = expectIdent();
+    TypedExpr value = assignedValue();
+    requireInt(value, "let binding");
+    scope_.int_vars[var] = true;
+    return stmtLetInt(var, value.expr);
+}
 
 TypedExpr
-ExprParserBase::parseLocatedExpr()
+PseudocodeParser::assignedValue()
 {
-    const int line = cur_.peek().line;
+    expect(dialect_.assign);
+    TypedExpr value = parseLocatedExpr();
+    if (*dialect_.stmt_end)
+        expect(dialect_.stmt_end);
+    return value;
+}
+
+std::pair<ExprPtr, int>
+PseudocodeParser::dstSlice()
+{
+    expect("[");
+    TypedExpr hi = parseLocatedExpr();
+    expect(":");
+    TypedExpr lo = parseLocatedExpr();
+    expect("]");
+    requireInt(hi, "slice high index");
+    requireInt(lo, "slice low index");
+    return {lo.expr, sliceWidth(hi.expr, lo.expr)};
+}
+
+StmtPtr
+PseudocodeParser::assignDst(const ExprPtr &low, int width,
+                            const std::string &unit)
+{
+    TypedExpr value = assignedValue();
+    if (!value.is_bv)
+        value = coerceLiteral(value, width);
+    if (value.width != width)
+        fail(unit + " width mismatch in assignment to dst");
+    return stmtSliceAssign(low, intConst(width), value.expr);
+}
+
+StmtPtr
+PseudocodeParser::loop(const std::string &var, const TypedExpr &lo,
+                       const TypedExpr &hi, const std::string &keyword,
+                       const std::string &end)
+{
+    requireInt(lo, keyword + " lower bound");
+    requireInt(hi, keyword + " upper bound");
+    scope_.int_vars[var] = true;
+    std::vector<StmtPtr> body = parseStmts(end);
+    expect(end);
+    scope_.int_vars.erase(var);
+    return stmtFor(var, lo.expr, hi.expr, std::move(body));
+}
+
+// ---- Expressions ------------------------------------------------------------
+
+TypedExpr
+PseudocodeParser::parseLocatedExpr()
+{
+    const int line = peek().line;
     TypedExpr out = parseExpr();
     if (out.expr)
-        tagSourceLoc(out.expr, SourceLoc{cur_.sourceName(), line});
+        tagSourceLoc(out.expr, SourceLoc{source_name_, line});
     return out;
 }
 
 TypedExpr
-ExprParserBase::parseTernary()
+PseudocodeParser::parseTernary()
 {
-    TypedExpr cond = parseOr();
-    if (!cur_.accept("?"))
+    TypedExpr cond = parseBitwise(0);
+    if (!accept("?"))
         return cond;
     TypedExpr then_e = parseTernary();
-    cur_.expect(":");
+    expect(":");
     TypedExpr else_e = parseTernary();
     if (!cond.is_bv || cond.width != 1)
-        cur_.fail("ternary condition must be a 1-bit value");
+        fail("ternary condition must be a 1-bit value");
     if (then_e.is_bv && !else_e.is_bv)
         else_e = coerceLiteral(else_e, then_e.width);
     if (!then_e.is_bv && else_e.is_bv)
         then_e = coerceLiteral(then_e, else_e.width);
     if (!then_e.is_bv || then_e.width != else_e.width)
-        cur_.fail("ternary branches must have matching widths");
-    TypedExpr out;
-    out.is_bv = true;
-    out.width = then_e.width;
-    out.expr = select(cond.expr, then_e.expr, else_e.expr);
-    return out;
+        fail("ternary branches must have matching widths");
+    return {select(cond.expr, then_e.expr, else_e.expr), true, then_e.width};
 }
 
 TypedExpr
-ExprParserBase::parseOr()
+PseudocodeParser::parseBitwise(size_t level)
 {
-    TypedExpr lhs = parseXor();
-    while (cur_.lookingAt("|")) {
-        cur_.take();
-        lhs = combineBV(BVBinOp::Or, lhs, parseXor());
-    }
+    // `|` binds loosest, then `^`, then `&`, then the comparisons.
+    static constexpr std::pair<const char *, BVBinOp> kLevels[] = {
+        {"|", BVBinOp::Or}, {"^", BVBinOp::Xor}, {"&", BVBinOp::And}};
+    if (level == std::size(kLevels))
+        return parseCmp();
+    const auto &[token, op] = kLevels[level];
+    TypedExpr lhs = parseBitwise(level + 1);
+    while (accept(token))
+        lhs = combineBV(op, lhs, parseBitwise(level + 1));
     return lhs;
 }
 
 TypedExpr
-ExprParserBase::parseXor()
-{
-    TypedExpr lhs = parseAnd();
-    while (cur_.lookingAt("^")) {
-        cur_.take();
-        lhs = combineBV(BVBinOp::Xor, lhs, parseAnd());
-    }
-    return lhs;
-}
-
-TypedExpr
-ExprParserBase::parseAnd()
-{
-    TypedExpr lhs = parseCmp();
-    while (cur_.lookingAt("&")) {
-        cur_.take();
-        lhs = combineBV(BVBinOp::And, lhs, parseCmp());
-    }
-    return lhs;
-}
-
-TypedExpr
-ExprParserBase::parseCmp()
+PseudocodeParser::parseCmp()
 {
     TypedExpr lhs = parseShift();
     static const char *kOps[] = {"==", "!=", "<", "<=", ">", ">="};
-    for (const char *op : kOps) {
-        if (cur_.lookingAt(op)) {
-            cur_.take();
-            TypedExpr rhs = parseShift();
-            return makeCompare(op, lhs, rhs);
-        }
-    }
+    for (const char *op : kOps)
+        if (accept(op))
+            return makeCompare(op, lhs, parseShift());
     return lhs;
 }
 
 TypedExpr
-ExprParserBase::parseShift()
+PseudocodeParser::parseShift()
 {
     TypedExpr lhs = parseAdd();
     while (true) {
         BVBinOp op;
-        if (cur_.lookingAt("<<"))
+        if (accept("<<"))
             op = BVBinOp::Shl;
-        else if (cur_.lookingAt(">>>"))
+        else if (accept(">>>"))
             op = BVBinOp::LShr;
-        else if (cur_.lookingAt(">>"))
+        else if (accept(">>"))
             op = BVBinOp::AShr;
         else
             break;
-        cur_.take();
         TypedExpr rhs = parseAdd();
         if (!lhs.is_bv)
-            cur_.fail("shift of a non-bitvector");
-        if (!rhs.is_bv) {
-            // Integer shift amounts become constants of operand width.
-            rhs.expr = bvConst(intConst(lhs.width), rhs.expr);
-            rhs.is_bv = true;
-            rhs.width = lhs.width;
-        }
+            fail("shift of a non-bitvector");
+        // An integer shift amount becomes a constant of operand width.
         lhs = combineBV(op, lhs, rhs);
     }
     return lhs;
 }
 
 TypedExpr
-ExprParserBase::parseAdd()
+PseudocodeParser::parseAdd()
 {
     TypedExpr lhs = parseMul();
-    while (cur_.lookingAt("+") || cur_.lookingAt("-")) {
-        const bool is_add = cur_.take().text == "+";
+    while (lookingAt("+") || lookingAt("-")) {
+        const bool is_add = take().text == "+";
         TypedExpr rhs = parseMul();
         if (lhs.is_bv || rhs.is_bv) {
             lhs = combineBV(is_add ? BVBinOp::Add : BVBinOp::Sub, lhs, rhs);
@@ -296,11 +405,11 @@ ExprParserBase::parseAdd()
 }
 
 TypedExpr
-ExprParserBase::parseMul()
+PseudocodeParser::parseMul()
 {
     TypedExpr lhs = parseUnary();
-    while (cur_.lookingAt("*") || cur_.lookingAt("/") || cur_.lookingAt("%")) {
-        const std::string op = cur_.take().text;
+    while (lookingAt("*") || lookingAt("/") || lookingAt("%")) {
+        const std::string op = take().text;
         TypedExpr rhs = parseUnary();
         if (op == "*" && (lhs.is_bv || rhs.is_bv)) {
             lhs = combineBV(BVBinOp::Mul, lhs, rhs);
@@ -317,17 +426,17 @@ ExprParserBase::parseMul()
 }
 
 TypedExpr
-ExprParserBase::parseUnary()
+PseudocodeParser::parseUnary()
 {
-    if (cur_.accept("~")) {
+    if (accept("~")) {
         TypedExpr operand = parseUnary();
         if (!operand.is_bv)
-            cur_.fail("~ applies to bitvectors");
+            fail("~ applies to bitvectors");
         operand.expr = bvUn(BVUnOp::Not, operand.expr);
         return operand;
     }
-    if (cur_.lookingAt("-") && cur_.peek(1).kind != TokKind::Number) {
-        cur_.take();
+    if (lookingAt("-") && peek(1).kind != TokKind::Number) {
+        take();
         TypedExpr operand = parseUnary();
         if (operand.is_bv)
             operand.expr = bvUn(BVUnOp::Neg, operand.expr);
@@ -339,131 +448,213 @@ ExprParserBase::parseUnary()
 }
 
 void
-ExprParserBase::requireInt(const TypedExpr &expr, const std::string &what)
+PseudocodeParser::requireInt(const TypedExpr &expr, const std::string &what)
 {
     if (expr.is_bv)
-        cur_.fail(what + " must be an integer expression");
+        fail(what + " must be an integer expression");
 }
 
 int
-ExprParserBase::constOf(const ExprPtr &expr, const std::string &what)
+PseudocodeParser::constOf(const ExprPtr &expr, const std::string &what)
 {
     ExprPtr folded = simplify(expr);
     if (folded->kind != ExprKind::IntConst)
-        cur_.fail(what + " must fold to a constant");
+        fail(what + " must fold to a constant");
     return static_cast<int>(folded->value);
 }
 
 int
-ExprParserBase::sliceWidth(const ExprPtr &hi, const ExprPtr &lo)
+PseudocodeParser::sliceWidth(const ExprPtr &hi, const ExprPtr &lo)
 {
     const int width = constOf(addI(subI(hi, lo), intConst(1)), "slice width");
     if (width < 1)
-        cur_.fail("slice width must be positive");
+        fail("slice width must be positive");
     return width;
 }
 
 TypedExpr
-ExprParserBase::coerceLiteral(TypedExpr value, int width)
+PseudocodeParser::coerceLiteral(TypedExpr value, int width)
 {
     if (value.is_bv)
         return value;
-    TypedExpr out;
-    out.is_bv = true;
-    out.width = width;
-    out.expr = bvConst(intConst(width), value.expr);
-    return out;
+    return {bvConst(intConst(width), value.expr), true, width};
 }
 
 TypedExpr
-ExprParserBase::combineBV(BVBinOp op, TypedExpr lhs, TypedExpr rhs)
+PseudocodeParser::combineBV(BVBinOp op, TypedExpr lhs, TypedExpr rhs)
 {
     if (lhs.is_bv && !rhs.is_bv)
         rhs = coerceLiteral(rhs, lhs.width);
     if (!lhs.is_bv && rhs.is_bv)
         lhs = coerceLiteral(lhs, rhs.width);
     if (!lhs.is_bv || !rhs.is_bv)
-        cur_.fail("bitvector operator applied to integers");
+        fail("bitvector operator applied to integers");
     if (lhs.width != rhs.width)
-        cur_.fail("bitvector operand width mismatch");
-    TypedExpr out;
-    out.is_bv = true;
-    out.width = lhs.width;
-    out.expr = bvBin(op, lhs.expr, rhs.expr);
-    return out;
+        fail("bitvector operand width mismatch");
+    return {bvBin(op, lhs.expr, rhs.expr), true, lhs.width};
 }
 
 TypedExpr
-ExprParserBase::makeCompare(const std::string &op, TypedExpr lhs,
-                            TypedExpr rhs, bool unsigned_cmp)
+PseudocodeParser::makeCompare(const std::string &op, TypedExpr lhs,
+                              TypedExpr rhs, bool unsigned_cmp)
 {
     // Integer comparisons are wrapped into 32-bit constants so the
     // comparison lives in the bitvector domain (Hydride IR has no
     // boolean integer type).
-    if (!lhs.is_bv && !rhs.is_bv) {
-        lhs = coerceLiteral(lhs, 32);
-        rhs = coerceLiteral(rhs, 32);
-    }
-    if (lhs.is_bv && !rhs.is_bv)
-        rhs = coerceLiteral(rhs, lhs.width);
-    if (!lhs.is_bv && rhs.is_bv)
-        lhs = coerceLiteral(lhs, rhs.width);
+    const int width = lhs.is_bv ? lhs.width : rhs.is_bv ? rhs.width : 32;
+    lhs = coerceLiteral(lhs, width);
+    rhs = coerceLiteral(rhs, width);
     if (lhs.width != rhs.width)
-        cur_.fail("comparison width mismatch");
-    TypedExpr out;
-    out.is_bv = true;
-    out.width = 1;
-    const BVCmpOp lt = unsigned_cmp ? BVCmpOp::Ult : BVCmpOp::Slt;
-    const BVCmpOp le = unsigned_cmp ? BVCmpOp::Ule : BVCmpOp::Sle;
-    if (op == "==")
-        out.expr = bvCmp(BVCmpOp::Eq, lhs.expr, rhs.expr);
-    else if (op == "!=")
-        out.expr = bvCmp(BVCmpOp::Ne, lhs.expr, rhs.expr);
-    else if (op == "<")
-        out.expr = bvCmp(lt, lhs.expr, rhs.expr);
-    else if (op == "<=")
-        out.expr = bvCmp(le, lhs.expr, rhs.expr);
-    else if (op == ">")
-        out.expr = bvCmp(lt, rhs.expr, lhs.expr);
-    else
-        out.expr = bvCmp(le, rhs.expr, lhs.expr);
-    return out;
+        fail("comparison width mismatch");
+    if (op == ">" || op == ">=")
+        std::swap(lhs, rhs);
+    const BVCmpOp cmp = op == "==" ? BVCmpOp::Eq
+                        : op == "!=" ? BVCmpOp::Ne
+                        : op == "<" || op == ">"
+                            ? (unsigned_cmp ? BVCmpOp::Ult : BVCmpOp::Slt)
+                            : (unsigned_cmp ? BVCmpOp::Ule : BVCmpOp::Sle);
+    return {bvCmp(cmp, lhs.expr, rhs.expr), true, 1};
 }
 
 TypedExpr
-ExprParserBase::callCast(BVCastOp op, std::vector<TypedExpr> &args,
-                         const std::string &name)
+PseudocodeParser::parsePrimary()
 {
-    if (args.size() != 2)
-        cur_.fail(name + " expects 2 arguments");
-    if (!args[0].is_bv)
-        cur_.fail(name + " operand must be a bitvector");
-    requireInt(args[1], name + " width");
-    const int width = constOf(args[1].expr, name + " width");
-    TypedExpr out;
-    out.is_bv = true;
-    out.width = width;
-    out.expr = bvCast(op, args[0].expr, intConst(width));
-    return out;
+    TypedExpr base = parseAtom();
+    while (base.is_bv && dialect_.postfix && dialect_.postfix(*this, base)) {
+    }
+    return base;
 }
 
 TypedExpr
-ExprParserBase::callBin(BVBinOp op, std::vector<TypedExpr> &args,
+PseudocodeParser::parseAtom()
+{
+    TypedExpr out;
+    if (peek().kind == TokKind::Number) {
+        out.expr = intConst(take().number);
+        return out;
+    }
+    if (accept("-")) {
+        out.expr = intConst(-expectNumber());
+        return out;
+    }
+    if (accept("(")) {
+        TypedExpr inner = parseExpr();
+        expect(")");
+        return inner;
+    }
+    if (dialect_.atom && dialect_.atom(*this, out))
+        return out;
+    const std::string name = expectIdent();
+    if (scope_.isBV(name)) {
+        const auto &sym = scope_.bv_args.at(name);
+        return {argBV(sym.index), true, sym.width};
+    }
+    if (scope_.isInt(name)) {
+        out.expr = namedVar(name);
+        return out;
+    }
+    if (lookingAt("("))
+        return parseCall(name);
+    fail("unknown identifier `" + name + "`");
+}
+
+TypedExpr
+PseudocodeParser::parseCall(const std::string &name)
+{
+    const auto &table = dialect_.intrinsics;
+    const auto fn =
+        std::find_if(table.begin(), table.end(),
+                     [&](const Intrinsic &f) { return name == f.name; });
+    if (fn == table.end())
+        fail("unknown function `" + name + "`");
+    expect("(");
+    std::vector<TypedExpr> args;
+    if (!lookingAt(")")) {
+        do {
+            args.push_back(parseExpr());
+        } while (accept(","));
+    }
+    expect(")");
+    if (const auto *op = std::get_if<BVCastOp>(&fn->op))
+        return callCast(*op, args, name);
+    if (const auto *op = std::get_if<BVBinOp>(&fn->op))
+        return callBin(*op, args, name);
+    if (const auto *op = std::get_if<BVUnOp>(&fn->op))
+        return callUn(*op, args, name);
+    return std::get<SpecialFn>(fn->op)(*this, args, name);
+}
+
+bool
+PseudocodeParser::slicePostfix(PseudocodeParser &parser, TypedExpr &base)
+{
+    if (!parser.accept("["))
+        return false;
+    TypedExpr hi = parser.parseExpr();
+    parser.requireInt(hi, "slice index");
+    if (parser.accept(":")) {
+        TypedExpr lo = parser.parseExpr();
+        parser.requireInt(lo, "slice low index");
+        parser.expect("]");
+        base = bits(base.expr, lo.expr, parser.sliceWidth(hi.expr, lo.expr));
+    } else {
+        parser.expect("]");
+        base = bits(base.expr, hi.expr, 1);
+    }
+    return true;
+}
+
+TypedExpr
+PseudocodeParser::bits(const ExprPtr &base, const ExprPtr &low, int width)
+{
+    return {extract(base, low, intConst(width)), true, width};
+}
+
+void
+PseudocodeParser::arity(const std::vector<TypedExpr> &args, size_t count,
                         const std::string &name)
 {
-    if (args.size() != 2)
-        cur_.fail(name + " expects 2 arguments");
+    if (args.size() != count)
+        fail(name + " expects " + std::to_string(count) +
+             (count == 1 ? " argument" : " arguments"));
+}
+
+TypedExpr
+PseudocodeParser::fill(std::vector<TypedExpr> &args, const std::string &name,
+                       int64_t value)
+{
+    arity(args, 1, name);
+    requireInt(args[0], name + " width");
+    const int width = constOf(args[0].expr, name + " width");
+    return {bvConst(intConst(width), intConst(value)), true, width};
+}
+
+TypedExpr
+PseudocodeParser::callCast(BVCastOp op, std::vector<TypedExpr> &args,
+                           const std::string &name)
+{
+    arity(args, 2, name);
+    if (!args[0].is_bv)
+        fail(name + " operand must be a bitvector");
+    requireInt(args[1], name + " width");
+    const int width = constOf(args[1].expr, name + " width");
+    return {bvCast(op, args[0].expr, intConst(width)), true, width};
+}
+
+TypedExpr
+PseudocodeParser::callBin(BVBinOp op, std::vector<TypedExpr> &args,
+                          const std::string &name)
+{
+    arity(args, 2, name);
     return combineBV(op, args[0], args[1]);
 }
 
 TypedExpr
-ExprParserBase::callUn(BVUnOp op, std::vector<TypedExpr> &args,
-                       const std::string &name)
+PseudocodeParser::callUn(BVUnOp op, std::vector<TypedExpr> &args,
+                         const std::string &name)
 {
-    if (args.size() != 1)
-        cur_.fail(name + " expects 1 argument");
+    arity(args, 1, name);
     if (!args[0].is_bv)
-        cur_.fail(name + " operand must be a bitvector");
+        fail(name + " operand must be a bitvector");
     TypedExpr out = args[0];
     out.expr = bvUn(op, out.expr);
     return out;

@@ -5,11 +5,9 @@
 #include "observability/metrics.h"
 #include "observability/trace.h"
 #include "specs/arm_manual.h"
-#include "specs/arm_parser.h"
 #include "specs/hvx_manual.h"
-#include "specs/hvx_parser.h"
+#include "specs/parser_common.h"
 #include "specs/x86_manual.h"
-#include "specs/x86_parser.h"
 #include "support/error.h"
 #include "support/faults.h"
 #include "support/parallel.h"
@@ -50,21 +48,16 @@ isaManual(const std::string &isa)
     return cache.emplace(isa, std::move(spec)).first->second;
 }
 
-namespace {
-
-/** The dialect parser of `isa`, with no fault seam (safe to call from
- *  parallelFor workers). */
 SpecFunction
 parseWithDialect(const std::string &isa, const InstDef &inst)
 {
-    if (isa == "x86")
-        return parseX86Inst(inst);
-    if (isa == "hvx")
-        return parseHvxInst(inst);
-    if (isa == "arm")
-        return parseArmInst(inst);
+    for (const Dialect *dialect : {&kX86Dialect, &kHvxDialect, &kArmDialect})
+        if (isa == dialect->isa)
+            return PseudocodeParser(*dialect, inst).parse();
     fatal("unknown ISA `" + isa + "`");
 }
+
+namespace {
 
 /** The error an injected front-half fault reads as. */
 ParseError

@@ -31,8 +31,13 @@ const std::vector<std::string> &builtinIsas();
 /** Vendor manual for an ISA (generated; cached). */
 const IsaSpec &isaManual(const std::string &isa);
 
-/** Parse one instruction of `isa` with that ISA's dialect parser
- *  (behind the `parser.malformed` fault seam). */
+/** Parse one instruction of `isa` ("x86", "hvx" or "arm") with that
+ *  ISA's pseudocode dialect (src/specs/parser_common.h). Throws only
+ *  ParseError on malformed pseudocode. No fault seam, so it is safe
+ *  on parallelFor workers. */
+SpecFunction parseWithDialect(const std::string &isa, const InstDef &inst);
+
+/** parseWithDialect() behind the `parser.malformed` fault seam. */
 SpecFunction parseInst(const std::string &isa, const InstDef &inst);
 
 /**

@@ -1,256 +1,103 @@
-#include "specs/x86_parser.h"
-
+/**
+ * @file
+ * The x86 (Intel Intrinsics Guide-style) pseudocode dialect:
+ *
+ *   DEFINE name(arg: bit[N] | arg: imm, ...) -> bit[N] LAT k
+ *     FOR v := e to e ... ENDFOR
+ *     v := int-expr                      // integer let
+ *     dst[hi:lo] := bv-expr              // slice assignment
+ *   ENDDEF
+ *
+ * Slices `a[hi:lo]`, single bits `a[i]` and slices of parenthesized
+ * expressions `(e)[hi:lo]` are postfixes on any bitvector.
+ */
 #include "specs/parser_common.h"
-#include "support/error.h"
 
 namespace hydride {
 
 namespace {
 
-/**
- * Recursive-descent parser for the Intel-style dialect. One instance
- * parses one instruction definition. Expression parsing and bitwidth
- * inference come from ExprParserBase; this class adds the DEFINE
- * header, the statement forms, slices and the x86 intrinsic-function
- * vocabulary.
- */
-class X86Parser : public ExprParserBase
+int64_t
+bitType(PseudocodeParser &p)
 {
-  public:
-    explicit X86Parser(const InstDef &inst)
-        : ExprParserBase(lexPseudocode(inst.pseudocode), "x86:" + inst.name)
-    {
+    p.expect("bit");
+    p.expect("[");
+    const int64_t width = p.expectNumber();
+    p.expect("]");
+    return width;
+}
+
+StmtPtr
+statement(PseudocodeParser &p)
+{
+    if (p.accept("FOR")) {
+        const std::string var = p.expectIdent();
+        p.expect(":=");
+        TypedExpr lo = p.parseLocatedExpr();
+        p.expect("to");
+        TypedExpr hi = p.parseLocatedExpr();
+        return p.loop(var, lo, hi, "FOR", "ENDFOR");
     }
+    if (!p.accept("dst"))
+        return nullptr;
+    const auto [low, width] = p.dstSlice();
+    return p.assignDst(low, width, "slice");
+}
 
-    SpecFunction
-    parse()
-    {
-        cur_.expect("DEFINE");
-        fn_.isa = "x86";
-        fn_.name = cur_.expectIdent();
-        cur_.expect("(");
-        if (!cur_.lookingAt(")")) {
-            do {
-                const std::string arg_name = cur_.expectIdent();
-                cur_.expect(":");
-                if (cur_.accept("imm")) {
-                    fn_.int_args.push_back(arg_name);
-                    scope_.int_vars[arg_name] = true;
-                } else {
-                    cur_.expect("bit");
-                    cur_.expect("[");
-                    const int width = static_cast<int>(cur_.expectNumber());
-                    cur_.expect("]");
-                    ParseScope::BVSym sym;
-                    sym.index = static_cast<int>(fn_.bv_args.size());
-                    sym.width = width;
-                    scope_.bv_args[arg_name] = sym;
-                    fn_.bv_args.push_back({arg_name, intConst(width)});
-                }
-            } while (cur_.accept(","));
-        }
-        cur_.expect(")");
-        cur_.expect("->");
-        cur_.expect("bit");
-        cur_.expect("[");
-        fn_.out_width = static_cast<int>(cur_.expectNumber());
-        cur_.expect("]");
-        cur_.expect("LAT");
-        fn_.latency = static_cast<int>(cur_.expectNumber());
-        fn_.body = parseStmts({"ENDDEF"});
-        cur_.expect("ENDDEF");
-        return std::move(fn_);
-    }
+/** CMPULT(a, b) / CMPULE(a, b): unsigned a < b / a <= b. */
+TypedExpr
+unsignedCompare(PseudocodeParser &p, std::vector<TypedExpr> &args,
+                const std::string &name)
+{
+    p.arity(args, 2, name);
+    return p.makeCompare(name == "CMPULT" ? "<" : "<=", args[0], args[1],
+                         /*unsigned_cmp=*/true);
+}
 
-  private:
-    std::vector<StmtPtr>
-    parseStmts(const std::vector<std::string> &terminators)
-    {
-        std::vector<StmtPtr> stmts;
-        while (true) {
-            for (const auto &term : terminators)
-                if (cur_.lookingAt(term))
-                    return stmts;
-            stmts.push_back(parseStmt());
-        }
-    }
+/** ALLONES(w) / ZEROS(w). */
+TypedExpr
+constant(PseudocodeParser &p, std::vector<TypedExpr> &args,
+         const std::string &name)
+{
+    return p.fill(args, name, name == "ALLONES" ? -1 : 0);
+}
 
-    StmtPtr
-    parseStmt()
-    {
-        if (cur_.accept("FOR")) {
-            const std::string var = cur_.expectIdent();
-            cur_.expect(":=");
-            TypedExpr lo = parseLocatedExpr();
-            cur_.expect("to");
-            TypedExpr hi = parseLocatedExpr();
-            requireInt(lo, "FOR lower bound");
-            requireInt(hi, "FOR upper bound");
-            scope_.int_vars[var] = true;
-            std::vector<StmtPtr> body = parseStmts({"ENDFOR"});
-            cur_.expect("ENDFOR");
-            scope_.int_vars.erase(var);
-            return stmtFor(var, lo.expr, hi.expr, std::move(body));
-        }
-        if (cur_.lookingAt("dst")) {
-            cur_.take();
-            cur_.expect("[");
-            TypedExpr hi = parseLocatedExpr();
-            cur_.expect(":");
-            TypedExpr lo = parseLocatedExpr();
-            cur_.expect("]");
-            cur_.expect(":=");
-            TypedExpr value = parseLocatedExpr();
-            requireInt(hi, "slice high index");
-            requireInt(lo, "slice low index");
-            const int width = sliceWidth(hi.expr, lo.expr);
-            if (!value.is_bv)
-                value = coerceLiteral(value, width);
-            if (value.width != width)
-                cur_.fail("slice width mismatch in assignment to dst");
-            return stmtSliceAssign(lo.expr, intConst(width), value.expr);
-        }
-        // Integer let: ident := int-expr
-        const std::string var = cur_.expectIdent();
-        cur_.expect(":=");
-        TypedExpr value = parseLocatedExpr();
-        requireInt(value, "let binding");
-        scope_.int_vars[var] = true;
-        return stmtLetInt(var, value.expr);
-    }
-
-    TypedExpr
-    parsePrimary() override
-    {
-        TypedExpr base = parseAtom();
-        // Postfix slices: e[hi:lo] and single-bit e[idx].
-        while (cur_.lookingAt("[") && base.is_bv) {
-            cur_.take();
-            TypedExpr hi = parseExpr();
-            requireInt(hi, "slice index");
-            TypedExpr out;
-            out.is_bv = true;
-            if (cur_.accept(":")) {
-                TypedExpr lo = parseExpr();
-                requireInt(lo, "slice low index");
-                cur_.expect("]");
-                out.width = sliceWidth(hi.expr, lo.expr);
-                out.expr = extract(base.expr, lo.expr, intConst(out.width));
-            } else {
-                cur_.expect("]");
-                out.width = 1;
-                out.expr = extract(base.expr, hi.expr, intConst(1));
-            }
-            base = out;
-        }
-        return base;
-    }
-
-    TypedExpr
-    parseAtom()
-    {
-        if (cur_.peek().kind == TokKind::Number) {
-            TypedExpr out;
-            out.expr = intConst(cur_.take().number);
-            return out;
-        }
-        if (cur_.accept("-")) {
-            TypedExpr out;
-            out.expr = intConst(-cur_.expectNumber());
-            return out;
-        }
-        if (cur_.accept("(")) {
-            TypedExpr inner = parseExpr();
-            cur_.expect(")");
-            return inner;
-        }
-        const std::string name = cur_.expectIdent();
-        if (cur_.lookingAt("(") && !scope_.isBV(name) && !scope_.isInt(name))
-            return parseCall(name);
-        if (scope_.isBV(name)) {
-            const auto &sym = scope_.bv_args.at(name);
-            TypedExpr out;
-            out.is_bv = true;
-            out.width = sym.width;
-            out.expr = argBV(sym.index);
-            return out;
-        }
-        if (scope_.isInt(name)) {
-            TypedExpr out;
-            out.expr = namedVar(name);
-            return out;
-        }
-        cur_.fail("unknown identifier `" + name + "`");
-    }
-
-    TypedExpr
-    parseCall(const std::string &name)
-    {
-        cur_.expect("(");
-        std::vector<TypedExpr> args;
-        if (!cur_.lookingAt(")")) {
-            do {
-                args.push_back(parseExpr());
-            } while (cur_.accept(","));
-        }
-        cur_.expect(")");
-
-        if (name == "SignExtend")
-            return callCast(BVCastOp::SExt, args, name);
-        if (name == "ZeroExtend")
-            return callCast(BVCastOp::ZExt, args, name);
-        if (name == "Truncate")
-            return callCast(BVCastOp::Trunc, args, name);
-        if (name == "Saturate")
-            return callCast(BVCastOp::SatNarrowS, args, name);
-        if (name == "SaturateU")
-            return callCast(BVCastOp::SatNarrowU, args, name);
-        if (name == "MIN")
-            return callBin(BVBinOp::MinS, args, name);
-        if (name == "MAX")
-            return callBin(BVBinOp::MaxS, args, name);
-        if (name == "MINU")
-            return callBin(BVBinOp::MinU, args, name);
-        if (name == "MAXU")
-            return callBin(BVBinOp::MaxU, args, name);
-        if (name == "AVGU")
-            return callBin(BVBinOp::AvgU, args, name);
-        if (name == "AVGS")
-            return callBin(BVBinOp::AvgS, args, name);
-        if (name == "ABS")
-            return callUn(BVUnOp::AbsS, args, name);
-        if (name == "POPCNT")
-            return callUn(BVUnOp::Popcount, args, name);
-        if (name == "CMPULT" || name == "CMPULE") {
-            if (args.size() != 2)
-                cur_.fail(name + " expects 2 arguments");
-            return makeCompare(name == "CMPULT" ? "<" : "<=", args[0],
-                               args[1], /*unsigned_cmp=*/true);
-        }
-        if (name == "ALLONES" || name == "ZEROS") {
-            if (args.size() != 1)
-                cur_.fail(name + " expects 1 argument");
-            requireInt(args[0], name + " width");
-            const int width = constOf(args[0].expr, name + " width");
-            TypedExpr out;
-            out.is_bv = true;
-            out.width = width;
-            out.expr = bvConst(intConst(width),
-                               intConst(name == "ALLONES" ? -1 : 0));
-            return out;
-        }
-        cur_.fail("unknown function `" + name + "`");
-    }
-
-    SpecFunction fn_;
+constexpr Intrinsic kIntrinsics[] = {
+    {"SignExtend", BVCastOp::SExt},
+    {"ZeroExtend", BVCastOp::ZExt},
+    {"Truncate", BVCastOp::Trunc},
+    {"Saturate", BVCastOp::SatNarrowS},
+    {"SaturateU", BVCastOp::SatNarrowU},
+    {"MIN", BVBinOp::MinS},
+    {"MAX", BVBinOp::MaxS},
+    {"MINU", BVBinOp::MinU},
+    {"MAXU", BVBinOp::MaxU},
+    {"AVGU", BVBinOp::AvgU},
+    {"AVGS", BVBinOp::AvgS},
+    {"ABS", BVUnOp::AbsS},
+    {"POPCNT", BVUnOp::Popcount},
+    {"CMPULT", unsignedCompare},
+    {"CMPULE", unsignedCompare},
+    {"ALLONES", constant},
+    {"ZEROS", constant},
 };
 
 } // namespace
 
-SpecFunction
-parseX86Inst(const InstDef &inst)
-{
-    return X86Parser(inst).parse();
-}
+const Dialect kX86Dialect = {
+    .isa = "x86",
+    .define = "DEFINE",
+    .arrow = "->",
+    .latency = "LAT",
+    .body_open = "",
+    .body_close = "ENDDEF",
+    .assign = ":=",
+    .stmt_end = "",
+    .intrinsics = kIntrinsics,
+    .type = bitType,
+    .stmt = statement,
+    .postfix = PseudocodeParser::slicePostfix,
+    .atom = nullptr,
+};
 
 } // namespace hydride

@@ -132,6 +132,30 @@ TEST_F(FrontHalf, DictionaryIsPinned)
     EXPECT_EQ(stats.verification_failures, 0);
 }
 
+TEST_F(FrontHalf, EveryInstructionIsPinned)
+{
+    // DictionaryIsPinned sees class representatives only; this pins
+    // what the front half hands the similarity engine for every
+    // instruction of every manual, in manual order.
+    std::string text;
+    size_t count = 0;
+    for (const std::string &isa : builtinIsas()) {
+        for (const CanonicalSemantics &sem : isaSemantics(isa).insts) {
+            const std::vector<int64_t> params = sem.defaultParamValues();
+            text += sem.name + " [" + sem.isa + "] latency " +
+                    std::to_string(sem.latency) + " widths";
+            for (size_t k = 0; k < sem.bv_args.size(); ++k)
+                text += " " + std::to_string(
+                                  sem.argWidth(static_cast<int>(k), params));
+            text += " imm " + join(sem.int_args, ",") + "\n" +
+                    printSemantics(sem) + "--\n";
+            ++count;
+        }
+    }
+    EXPECT_EQ(count, 2540u);
+    EXPECT_EQ(hexDigest(text), "3139dbe2a1bb4c35");
+}
+
 TEST_F(FrontHalf, SpecFaultsSkipTheSameInstructionsEveryBuild)
 {
     const FaultPin pins[] = {

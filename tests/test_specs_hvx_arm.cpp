@@ -10,9 +10,8 @@
 
 #include "hir/canonicalize.h"
 #include "specs/arm_manual.h"
-#include "specs/arm_parser.h"
+#include "specs/spec_db.h"
 #include "specs/hvx_manual.h"
-#include "specs/hvx_parser.h"
 #include "support/rng.h"
 #include "support/strings.h"
 
@@ -39,7 +38,7 @@ hvxParsed()
     static std::map<std::string, SpecFunction> cache;
     if (cache.empty())
         for (const auto &inst : hvxManual().insts)
-            cache.emplace(inst.name, parseHvxInst(inst));
+            cache.emplace(inst.name, parseWithDialect("hvx", inst));
     return cache;
 }
 
@@ -49,7 +48,7 @@ armParsed()
     static std::map<std::string, SpecFunction> cache;
     if (cache.empty())
         for (const auto &inst : armManual().insts)
-            cache.emplace(inst.name, parseArmInst(inst));
+            cache.emplace(inst.name, parseWithDialect("arm", inst));
     return cache;
 }
 

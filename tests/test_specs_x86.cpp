@@ -10,8 +10,8 @@
 
 #include "hir/canonicalize.h"
 #include "hir/printer.h"
+#include "specs/spec_db.h"
 #include "specs/x86_manual.h"
-#include "specs/x86_parser.h"
 #include "support/rng.h"
 #include "support/strings.h"
 
@@ -31,7 +31,7 @@ parsedCache()
     static std::map<std::string, SpecFunction> cache;
     if (cache.empty()) {
         for (const auto &inst : manual().insts)
-            cache.emplace(inst.name, parseX86Inst(inst));
+            cache.emplace(inst.name, parseWithDialect("x86", inst));
     }
     return cache;
 }

@@ -151,7 +151,7 @@ BENCHMARK(BM_SynthesizeMatmulWindow)->Unit(benchmark::kMillisecond);
 
 /**
  * A whole CEGIS search that ends "search exhausted": gaussian3x3's row
- * window on x86, scaled and then unscaled. Nearly every candidate is
+ * window on x86, one scaled search. Nearly every candidate is
  * rejected, so `per_rejected` (time over rejected candidates) is the
  * search's per-candidate cost, the number the paper benches cannot
  * isolate.

@@ -117,7 +117,8 @@ PseudocodeParser::PseudocodeParser(const Dialect &dialect,
                                    const InstDef &inst)
     : dialect_(dialect), source_name_(std::string(dialect.isa) + ":" +
                                       inst.name),
-      tokens_(lexPseudocode(inst.pseudocode, source_name_))
+      tokens_(lexPseudocode(inst.pseudocode, source_name_)),
+      last_line_(tokens_.front().line)
 {
 }
 
@@ -133,6 +134,7 @@ Token
 PseudocodeParser::take()
 {
     Token tok = tokens_[pos_];
+    last_line_ = tok.line;
     if (pos_ + 1 < tokens_.size())
         ++pos_;
     return tok;
@@ -142,7 +144,8 @@ Token
 PseudocodeParser::expect(const std::string &text)
 {
     if (peek().text != text)
-        fail("expected `" + text + "` but found `" + peek().text + "`");
+        parseFail(source_name_, peek().line,
+                  "expected `" + text + "` but found `" + peek().text + "`");
     return take();
 }
 
@@ -150,7 +153,8 @@ std::string
 PseudocodeParser::expectIdent()
 {
     if (peek().kind != TokKind::Ident)
-        fail("expected identifier, found `" + peek().text + "`");
+        parseFail(source_name_, peek().line,
+                  "expected identifier, found `" + peek().text + "`");
     return take().text;
 }
 
@@ -164,7 +168,8 @@ PseudocodeParser::expectNumber()
         take();
         return -take().number;
     }
-    fail("expected number, found `" + peek().text + "`");
+    parseFail(source_name_, peek().line,
+              "expected number, found `" + peek().text + "`");
 }
 
 bool
@@ -186,7 +191,7 @@ PseudocodeParser::lookingAt(const std::string &text) const
 void
 PseudocodeParser::fail(const std::string &message) const
 {
-    parseFail(source_name_, peek().line, message);
+    parseFail(source_name_, last_line_, message);
 }
 
 // ---- Signature and statements -----------------------------------------------
@@ -206,7 +211,7 @@ PseudocodeParser::parse()
                 fn_.int_args.push_back(arg_name);
                 scope_.int_vars[arg_name] = true;
             } else {
-                const int width = parseWidth();
+                const int width = checkedWidth(dialect_.type(*this), "width");
                 scope_.bv_args[arg_name] = {
                     static_cast<int>(fn_.bv_args.size()), width};
                 fn_.bv_args.push_back({arg_name, intConst(width)});
@@ -215,7 +220,7 @@ PseudocodeParser::parse()
     }
     expect(")");
     expect(dialect_.arrow);
-    fn_.out_width = parseWidth();
+    fn_.out_width = checkedWidth(dialect_.type(*this), "width");
     expect(dialect_.latency);
     fn_.latency = static_cast<int>(expectNumber());
     if (*dialect_.body_open)
@@ -226,11 +231,10 @@ PseudocodeParser::parse()
 }
 
 int
-PseudocodeParser::parseWidth()
+PseudocodeParser::checkedWidth(int64_t width, const std::string &what) const
 {
-    const int64_t width = dialect_.type(*this);
     if (width < 1 || width > BitVector::kMaxWidth)
-        fail("width " + std::to_string(width) + " is outside [1, " +
+        fail(what + " " + std::to_string(width) + " is outside [1, " +
              std::to_string(BitVector::kMaxWidth) + "]");
     return static_cast<int>(width);
 }
@@ -460,16 +464,13 @@ PseudocodeParser::constOf(const ExprPtr &expr, const std::string &what)
     ExprPtr folded = simplify(expr);
     if (folded->kind != ExprKind::IntConst)
         fail(what + " must fold to a constant");
-    return static_cast<int>(folded->value);
+    return checkedWidth(folded->value, what);
 }
 
 int
 PseudocodeParser::sliceWidth(const ExprPtr &hi, const ExprPtr &lo)
 {
-    const int width = constOf(addI(subI(hi, lo), intConst(1)), "slice width");
-    if (width < 1)
-        fail("slice width must be positive");
-    return width;
+    return constOf(addI(subI(hi, lo), intConst(1)), "slice width");
 }
 
 TypedExpr

@@ -165,7 +165,8 @@ class PseudocodeParser
     /** True (and consumes) if the next token is `text`. */
     bool accept(const std::string &text);
     bool lookingAt(const std::string &text) const;
-    /** Raise a ParseError citing the instruction and the line. */
+    /** Raise a ParseError citing the instruction and the line of the
+     *  last consumed token: checks run after the tokens they judge. */
     [[noreturn]] void fail(const std::string &message) const;
 
     // ---- Expressions --------------------------------------------------
@@ -179,6 +180,7 @@ class PseudocodeParser
     TypedExpr parseLocatedExpr();
 
     void requireInt(const TypedExpr &expr, const std::string &what);
+    /** A width that must fold to a constant in [1, kMaxWidth]. */
     int constOf(const ExprPtr &expr, const std::string &what);
     int sliceWidth(const ExprPtr &hi, const ExprPtr &lo);
     TypedExpr coerceLiteral(TypedExpr value, int width);
@@ -212,7 +214,8 @@ class PseudocodeParser
                  const std::string &end);
 
   private:
-    int parseWidth();
+    /** `width`, failing unless it is in [1, kMaxWidth]. */
+    int checkedWidth(int64_t width, const std::string &what) const;
     std::vector<StmtPtr> parseStmts(const std::string &end);
     StmtPtr parseStmt();
 
@@ -239,6 +242,7 @@ class PseudocodeParser
     std::string source_name_;
     std::vector<Token> tokens_;
     size_t pos_ = 0;
+    int last_line_; ///< Line of the last consumed token.
     ParseScope scope_;
     SpecFunction fn_;
 };

@@ -39,8 +39,10 @@ scaleWindow(const HExprPtr &window, int scale)
         (window->kids[0]->lanes / scale) % window->imm != 0) {
         return nullptr;
     }
-    if (window->op == HOp::Slice)
-        return nullptr; // Not generated by the kernels.
+    // Lanes placed across registers: the odd/even lane selections that
+    // solve these need lane offsets, which buildGrammar does not scale.
+    if (window->op == HOp::Slice || window->op == HOp::Concat)
+        return nullptr;
     std::vector<HExprPtr> kids;
     for (const auto &kid : window->kids) {
         HExprPtr scaled = scaleWindow(kid, scale);
@@ -1150,27 +1152,9 @@ synthesizeWindow(const AutoLLVMDict &dict, const std::string &isa,
             scale *= 2;
     }
 
-    bool deadline_hit = false;
     if (!warm) try {
         SynthesisResult searched =
             attempt(dict, isa, window, scale, options, watch);
-        deadline_hit = searched.note == "timeout";
-        if (!searched.ok && scale > 1) {
-            // Algorithm 2 line 26: retry without scaling. Either way,
-            // account for both attempts' search effort.
-            SynthesisResult unscaled =
-                attempt(dict, isa, window, 1, options, watch);
-            deadline_hit = deadline_hit || unscaled.note == "timeout";
-            if (unscaled.ok) {
-                addEffort(unscaled, searched);
-                searched = std::move(unscaled);
-            } else {
-                addEffort(searched, unscaled);
-                if (!unscaled.symbolic_verdict.empty())
-                    searched.symbolic_verdict = unscaled.symbolic_verdict;
-                searched.note += "; unscaled retry: " + unscaled.note;
-            }
-        }
         // Keep the effort of the warm seeds that failed before the
         // search.
         addEffort(searched, result);
@@ -1211,7 +1195,7 @@ synthesizeWindow(const AutoLLVMDict &dict, const std::string &isa,
     windows.add();
     if (!result.ok)
         failures.add();
-    if (deadline_hit)
+    if (result.note == "timeout")
         deadline_hits.add();
     iterations.add(static_cast<uint64_t>(result.cegis_iterations));
     counterexamples.add(static_cast<uint64_t>(result.counterexamples));
@@ -1223,9 +1207,9 @@ synthesizeWindow(const AutoLLVMDict &dict, const std::string &isa,
     seconds_hist.observe(result.seconds);
 
     if (journal::enabled()) {
-        // The per-search CEGIS record (a scaled attempt and its
-        // unscaled retry summed); the driver's "window" ledger
-        // repeats its counters.
+        // The per-search CEGIS record (the window's one search plus
+        // any failed warm seeds); the driver's "window" ledger repeats
+        // its counters.
         auto fields = bjson::Value::makeObject();
         fields->set("hash", bjson::Value::makeString(
                                 journal::hashHex(HExpr::hashOf(window))));

@@ -17,8 +17,10 @@
  *     against the specification on fresh random vectors, feeding any
  *     counterexample (and its first failing lane) back into the loop;
  *  4. scales the winning program back up and re-verifies at full
- *     width; whenever the scaled attempt fails, one unscaled attempt
- *     follows (Algorithm 2 line 26).
+ *     width. Each window gets one search: a window that slices or
+ *     concatenates registers is searched at scale 1 from the start,
+ *     and a failed search is not rerun (unlike Algorithm 2 line 26;
+ *     see DESIGN.md §1).
  *
  * A search ends by work, not time: `max_insts` depths x grammar ops x
  * `max_combos` operand tuples, `kCegisRounds` rounds, a `kMaxBank`

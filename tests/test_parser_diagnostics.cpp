@@ -198,9 +198,10 @@ TEST(ParserDiagnostics, SharedErrorPathsInEveryDialect)
                   "dst[31:0] = frobnicate(Vu, 16);\n}\n"},
           {"arm", "INSTRUCTION f (a: bits(32)) => bits(32) LATENCY 1\n"
                   "dst = Frobnicate(a, 16);\nENDINSTRUCTION\n"}}},
-        // The width check runs after the statement, at the next line.
+        // The width check runs after the statement's last token and
+        // cites that token's line.
         {"width mismatch in assignment to dst",
-         3,
+         2,
          {{"x86", "DEFINE f(a: bit[32]) -> bit[32] LAT 1\n"
                   "dst[31:0] := a[15:0]\nENDDEF\n"},
           {"hvx", "INST f(Vu: v32) -> v32 LAT 1 {\n"
@@ -263,6 +264,30 @@ TEST(ParserDiagnostics, SignatureWidthsAreRangeChecked)
         SCOPED_TRACE(text.pseudocode);
         const ParseError error = parseErrorIn(text);
         EXPECT_EQ(error.line(), 1);
+        EXPECT_NE(error.message().find("outside [1, 4096]"),
+                  std::string::npos)
+            << error.what();
+    }
+}
+
+/** A width inside an expression (a cast target, a constant's width)
+ *  outside [1, kMaxWidth] fails at its line; it is neither narrowed
+ *  to a different width nor left for canonicalization to reject. */
+TEST(ParserDiagnostics, ExpressionWidthsAreRangeChecked)
+{
+    const char *bodies[] = {
+        "dst[31:0] := Truncate(SignExtend(a, 4294967328), 32)\n",
+        "dst[31:0] := SignExtend(a, 0)\n",
+        "dst[31:0] := SignExtend(a, 5000)\n",
+        "dst[31:0] := ZEROS(0)\n",
+    };
+    for (const char *body : bodies) {
+        SCOPED_TRACE(body);
+        const std::string text =
+            std::string("DEFINE f(a: bit[32]) -> bit[32] LAT 1\n") + body +
+            "ENDDEF\n";
+        const ParseError error = parseErrorIn({"x86", text.c_str()});
+        EXPECT_EQ(error.line(), 2);
         EXPECT_NE(error.message().find("outside [1, 4096]"),
                   std::string::npos)
             << error.what();

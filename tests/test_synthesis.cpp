@@ -106,6 +106,29 @@ TEST(ScaleWindow, DividesEveryLaneCount)
     EXPECT_EQ(out.width(), 128);
 }
 
+/** A gaussian kernel's column window as the compile driver splits it;
+ *  its last piece is satnarrow_u8(lshr(concat(x, y), k)). */
+HExprPtr
+columnWindow(const char *kernel, int vector_bits)
+{
+    Schedule schedule;
+    schedule.vector_bits = vector_bits;
+    const HExprPtr window = buildKernel(kernel, schedule).windows.at(1);
+    return splitWindow(window, SynthesisOptions{}.window_depth,
+                       halideInputCount(window), vector_bits)
+        .back();
+}
+
+TEST(ScaleWindow, RefusesCrossRegisterLaneSelection)
+{
+    // Its solutions take the odd or even lanes of two registers, which
+    // a scaled grammar cannot express: the window stays at scale 1.
+    const HExprPtr window = columnWindow("gaussian3x3", 1024);
+    ASSERT_EQ(window->kids.at(0)->kids.at(0)->op, HOp::Concat);
+    EXPECT_EQ(scaleWindow(window, 1), window);
+    EXPECT_EQ(scaleWindow(window, 2), nullptr);
+}
+
 TEST(ScaleParams, ScalesCountAndRegWidthOnly)
 {
     const int class_id = dict().classOfInstruction("_mm512_add_epi16");
@@ -190,19 +213,58 @@ TEST(Cegis, LaneScalingReportsScaleFactor)
     EXPECT_EQ(unscaled.cost, result.cost);
 }
 
+TEST(Cegis, LaneSelectingWindowsSynthesizeInOneSearch)
+{
+    // The gaussian column windows of Fig. 6 that only an unscaled
+    // search solves: each is searched once, at scale 1, and lowers to
+    // the program the Fig. 6 journal records for it.
+    struct Case
+    {
+        const char *isa;
+        int vector_bits;
+        const char *kernel;
+        int cost;
+        std::vector<std::string> insts;
+    };
+    const Case cases[] = {
+        {"hvx", 1024, "gaussian7x7", 1, {"vpackob_128B"}},
+        {"arm", 128, "gaussian7x7", 1, {"vuzp2q_s8"}},
+        {"hvx", 1024, "gaussian3x3", 3,
+         {"vlsrh_imm_128B", "vlsrh_imm_128B", "vpackubb_sat_128B"}},
+        {"hvx", 1024, "gaussian5x5", 3,
+         {"vlsrh_imm_128B", "vlsrh_imm_128B", "vpackubb_sat_128B"}},
+    };
+    for (const Case &c : cases) {
+        SCOPED_TRACE(std::string(c.isa) + " " + c.kernel);
+        const SynthesisResult result = synthesizeWindow(
+            dict(), c.isa, columnWindow(c.kernel, c.vector_bits));
+        ASSERT_TRUE(result.ok) << result.note;
+        EXPECT_EQ(result.scale, 1);
+        EXPECT_EQ(result.note, "");
+        EXPECT_EQ(result.cost, c.cost);
+        const LoweringResult lowered =
+            lowerToTarget(result.module, dict(), c.isa);
+        ASSERT_TRUE(lowered.ok) << lowered.error;
+        std::vector<std::string> insts;
+        for (const auto &inst : lowered.program.insts)
+            insts.push_back(inst.inst_name);
+        EXPECT_EQ(insts, c.insts);
+    }
+}
+
 TEST(Cegis, FourOperandCandidatesEnumerateSafely)
 {
-    // sobel3x3's final 8-bit window at 256 bits: scaled by 8, its x86
-    // grammar holds masked saturating adds (`_mm512_mask_adds_epi8`:
-    // src, mask, a, b), which depth 2 combines with mask-width values.
-    // The search must finish exhausted, not crash or abort, well
-    // inside a deadline it never reaches.
+    // sobel3x3's final 8-bit window at 256 bits: it concatenates
+    // registers, so it is searched at scale 1, and its x86 grammar
+    // holds masked saturating adds (`_mm256_mask_adds_epi8`: src, mask,
+    // a, b), which depth 2 combines with mask-width values. The search
+    // must finish exhausted, not crash or abort, well inside a
+    // deadline it never reaches.
     Schedule schedule;
     schedule.vector_bits = 256;
     const HExprPtr window = buildKernel("sobel3x3", schedule).windows[2];
-    const int scale = 8;
-    const Grammar grammar = buildGrammar(
-        dict(), "x86", scaleWindow(window, scale), scale, GrammarOptions{});
+    const Grammar grammar =
+        buildGrammar(dict(), "x86", window, 1, GrammarOptions{});
     int widest = 0;
     for (const auto &op : grammar.ops)
         widest = std::max(widest, static_cast<int>(op.arg_widths.size()));
@@ -213,7 +275,7 @@ TEST(Cegis, FourOperandCandidatesEnumerateSafely)
     options.max_combos = 200;
     SynthesisResult result =
         synthesizeWindow(dict(), "x86", window, options);
-    EXPECT_EQ(result.scale, scale);
+    EXPECT_EQ(result.scale, 1);
     EXPECT_EQ(result.note.rfind("search exhausted", 0), 0u) << result.note;
     EXPECT_EQ(result.note.find("timeout"), std::string::npos) << result.note;
 }
@@ -397,15 +459,16 @@ TEST(Cegis, SearchWorkCountersArePinned)
         // entry, so deduplicating before the match check loses it.
         {"arm", "max_pool", 128, 0, 3, 4000, 2, 1, 190253, 0, "",
          {"vmaxq_u8", "vmaxq_u8", "vmaxq_u8"}},
-        // Scaled and unscaled searches both exhaust.
-        {"x86", "gaussian3x3", 512, 0, 3, 4000, 2, 0, 610504, 0,
-         "search exhausted; unscaled retry: search exhausted", {}},
+        // A scaled search that exhausts.
+        {"x86", "gaussian3x3", 512, 0, 3, 4000, 1, 0, 246119, 0,
+         "search exhausted", {}},
         // Static pruning rejects solution-width families.
         {"x86", "mul", 512, 0, 3, 4000, 1, 0, 171988, 285, "",
          {"_mm512_mulhi_epi16", "_mm512_slli_epi16"}},
-        // Four-operand x86 mask ops, counterexamples, exhaustion.
-        {"x86", "sobel3x3", 256, 2, 2, 200, 4, 2, 24235, 244,
-         "search exhausted; unscaled retry: search exhausted", {}},
+        // Four-operand x86 mask ops, counterexamples, exhaustion, at
+        // scale 1 (the window concatenates registers).
+        {"x86", "sobel3x3", 256, 2, 2, 200, 3, 2, 18367, 244,
+         "search exhausted", {}},
     };
     for (const PinnedSearch &p : pinned) {
         SCOPED_TRACE(std::string(p.isa) + " " + p.kernel);
@@ -435,7 +498,7 @@ TEST(Cegis, CounterexampleRechecksStaticallyFeasibleOps)
 {
     // A counterexample can make a statically feasible (op, immediate)
     // dead, never the reverse, so each one must recheck the feasible
-    // verdicts. On this search, keeping them instead reads 200 static
+    // verdicts. On this search, keeping them instead reads 0 static
     // rejections; every other counter stays the same.
     Schedule schedule;
     schedule.vector_bits = 256;
@@ -445,12 +508,11 @@ TEST(Cegis, CounterexampleRechecksStaticallyFeasibleOps)
     options.max_combos = 200;
     const SynthesisResult result =
         synthesizeWindow(dict(), "x86", window, options);
-    EXPECT_EQ(result.cegis_iterations, 3);
+    EXPECT_EQ(result.cegis_iterations, 2);
     EXPECT_EQ(result.counterexamples, 1);
-    EXPECT_EQ(result.candidates_rejected, 4711);
-    EXPECT_EQ(result.candidates_rejected_static, 400);
-    EXPECT_EQ(result.note,
-              "search exhausted; unscaled retry: search exhausted");
+    EXPECT_EQ(result.candidates_rejected, 1830);
+    EXPECT_EQ(result.candidates_rejected_static, 200);
+    EXPECT_EQ(result.note, "search exhausted");
 }
 
 int

@@ -181,6 +181,33 @@ BM_CegisExhaustedWindow(benchmark::State &state)
 BENCHMARK(BM_CegisExhaustedWindow)->Unit(benchmark::kMillisecond);
 
 /**
+ * A CEGIS search that takes a counterexample round: ARM max_pool's
+ * window, whose first winner fails verification (the pinned search of
+ * `Cegis.SearchWorkCountersArePinned`). No depth-2 solution survives
+ * the counterexample, so round 2 enumerates depth 3 on the bank that
+ * round 1 built; `rejected` counts the candidates of both rounds.
+ */
+void
+BM_CegisCounterexampleRounds(benchmark::State &state)
+{
+    Schedule schedule;
+    schedule.vector_bits = 128;
+    const HExprPtr window = buildKernel("max_pool", schedule).windows[0];
+    long rejected = 0;
+    for (auto _ : state) {
+        const SynthesisResult result =
+            synthesizeWindow(dict(), "arm", window);
+        if (!result.ok || result.cegis_iterations < 2) {
+            state.SkipWithError("not a multi-round search");
+            return;
+        }
+        rejected = result.candidates_rejected;
+    }
+    state.counters["rejected"] = static_cast<double>(rejected);
+}
+BENCHMARK(BM_CegisCounterexampleRounds)->Unit(benchmark::kMillisecond);
+
+/**
  * x86 matmul_bias's window 0 (a 16 x i32 `a + sum b*c`) and the module
  * CEGIS synthesizes for it (`_mm512_dpwssd_epi32`), built once.
  */

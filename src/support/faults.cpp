@@ -41,8 +41,8 @@ const SiteInfo kSites[] = {
      "the CEGIS deadline reads as exhausted at the next inner-loop "
      "check"},
     {"alloc.cap",
-     "caps the CEGIS value-bank memory at =ARG bytes (bank overflow "
-     "reads as search exhaustion)"},
+     "caps the CEGIS value bank and solutions list at =ARG bytes each "
+     "(overflow reads as search exhaustion)"},
     {"symbolic.budget",
      "the symbolic equivalence checker returns `unknown` (budget "
      "exhausted) instead of solving"},

@@ -58,7 +58,7 @@ scaleWindow(const HExprPtr &window, int scale)
 
 namespace {
 
-/** Value-bank size cap. */
+/** Value-bank size cap; the solutions list has the same one. */
 constexpr int kMaxBank = 3000;
 /** Counterexample iterations per attempt. */
 constexpr int kCegisRounds = 10;
@@ -114,7 +114,8 @@ splat(int64_t value, int ew, int lanes)
     return out;
 }
 
-/** One value in the enumeration bank. */
+/** One value in the enumeration bank; its values on the
+ *  counterexamples live in `Search::bank_values_`. */
 struct Entry
 {
     int width = 0;
@@ -130,7 +131,6 @@ struct Entry
     // Tree-cost (paper: latency sum over the expression).
     int cost = 0;
     int depth = 0;
-    std::vector<BitVector> evals; ///< One value per counterexample.
 };
 
 /** Observational signature: width plus the value on the first
@@ -237,10 +237,11 @@ class Search
           slots_(grammar.ops.size() * imm_slots_)
     {
         collectConsts(window, consts_);
-        // Chaos seam: `alloc.cap=64M` caps the value bank's memory.
-        // The bank is the search's only unbounded allocation, so a
-        // byte budget translates into an entry budget; overflowing it
-        // reads as ordinary search exhaustion, never as an OOM kill.
+        // Chaos seam: `alloc.cap=64M` caps the search's value memory.
+        // The bank and the solutions list are the search's only
+        // allocations that grow with its work, so a byte budget
+        // translates into an entry cap on each; overflowing it reads
+        // as ordinary search exhaustion, never as an OOM kill.
         if (faults::shouldFail("alloc.cap")) {
             const long long cap =
                 faults::parseSizeArg(faults::argOf("alloc.cap"), -1);
@@ -255,7 +256,8 @@ class Search
         }
     }
 
-    /** Run CEGIS; winner (bank index) via `found`, or -1. */
+    /** Run CEGIS; returns the winner (an index into the solutions),
+     *  or -1. */
     int
     run(int &iterations)
     {
@@ -267,6 +269,7 @@ class Search
         // (interleaves of a correct half with junk).
         addCex(randomInputs());
         addCex(randomInputs());
+        seedLeaves();
         failing_lanes_ = {0};
         const int out_lanes = out_width_ / out_ew_;
         if (out_lanes > 1)
@@ -288,7 +291,8 @@ class Search
                 for (int v = 0; v < kVerifyVectors && verified; ++v) {
                     std::vector<BitVector> inputs = randomInputs();
                     const BitVector expect = evalHalide(window_, inputs);
-                    const BitVector got = evalEntryOn(winner, inputs);
+                    const BitVector got =
+                        evalEntryOn(solutions_[winner].entry, inputs);
                     if (got != expect) {
                         verified = false;
                         // Record the counterexample and its first and
@@ -316,7 +320,8 @@ class Search
                 if (eq.verdict == sym::Verdict::Refuted) {
                     verified = false;
                     ++stat_sym_refuted_;
-                    recordFailingLanes(evalEntryOn(winner, eq.model),
+                    recordFailingLanes(evalEntryOn(solutions_[winner].entry,
+                                                   eq.model),
                                        evalHalide(window_, eq.model));
                     addCex(eq.model);
                     ++stat_cexs_found_;
@@ -354,7 +359,7 @@ class Search
     /** Symbolic queries that exhausted their budget. */
     int symUnknowns() const { return stat_sym_unknown_; }
 
-    /** Reconstruct the winning entry as an AutoModule (full scale:
+    /** Reconstruct solution `winner` as an AutoModule (full scale:
      *  parameter values come from the original members; constants are
      *  re-splat at `scale` times the lanes). `params`, if given,
      *  receives each instruction's scaled grammar parameters. */
@@ -366,7 +371,7 @@ class Search
         for (int w : input_widths_)
             module.input_widths.push_back(w * scale);
         std::map<int, ValueRef> memo;
-        buildModule(winner, scale, module, memo, params);
+        buildModule(solutions_[winner].entry, scale, module, memo, params);
         module.result = static_cast<int>(module.insts.size()) - 1;
         return module;
     }
@@ -445,12 +450,21 @@ class Search
         }
     }
 
+    /**
+     * Add a counterexample. The bank survives it: whether a value
+     * entered the bank depended on its first-counterexample signature,
+     * its op's quota and the bank cap alone, none of which a new
+     * counterexample changes, so every retained value (and every
+     * recorded solution) is only evaluated once more, on the new
+     * input. The solutions that now fail are dropped (the failing
+     * lanes may have grown too, so they are rechecked on every
+     * counterexample).
+     */
     void
     addCex(std::vector<BitVector> inputs)
     {
+        spec_evals_.push_back(evalHalide(window_, inputs));
         cexs_.push_back(std::move(inputs));
-        bank_.clear();
-        sig_map_.clear();
         // Feasibility is relative to the observed spec outputs, which
         // just changed — but only in one direction: an abstract output
         // that could not contain the old spec outputs cannot contain a
@@ -460,6 +474,39 @@ class Search
         for (OpSlot &op_slot : slots_)
             if (op_slot.verdict == OpSlot::Feasible)
                 op_slot.verdict = OpSlot::Unknown;
+        cand_values_.resize(cexs_.size());
+        if (bank_.empty())
+            return; // The two seeds, before the leaves.
+        phases::Scope scope(phases::Phase::Enumeration);
+        const size_t c = cexs_.size() - 1;
+        std::vector<BitVector> &column = bank_values_.emplace_back();
+        column.reserve(bank_.capacity());
+        for (const Entry &entry : bank_)
+            column.push_back(valueOn(entry, c));
+        for (Solution &solution : solutions_)
+            solution.values.push_back(valueOn(solution.entry, c));
+        solutions_.erase(std::remove_if(solutions_.begin(),
+                                        solutions_.end(),
+                                        [&](const Solution &solution) {
+                                            return !matchesAll(
+                                                solution.values);
+                                        }),
+                         solutions_.end());
+    }
+
+    /** `entry`'s value on counterexample `c`, from its operands' bank
+     *  values there. */
+    BitVector
+    valueOn(const Entry &entry, size_t c)
+    {
+        if (entry.op < 0)
+            return leafValue(entry, cexs_[c]);
+        const BitVector *args[kMaxOpOperands];
+        for (size_t a = 0; a < grammar_.ops[entry.op].arg_widths.size(); ++a)
+            args[a] = &bank_values_[c][entry.args[a]];
+        BitVector value;
+        evalOpBatch(entry.op, entry.imm_slot, args, 1, &value);
+        return value;
     }
 
     std::vector<BitVector>
@@ -471,55 +518,60 @@ class Search
         return inputs;
     }
 
+    /** Put the inputs and constants into the bank, as depth 0. */
     void
     seedLeaves()
     {
-        spec_evals_.clear();
-        for (const auto &cex : cexs_)
-            spec_evals_.push_back(evalHalide(window_, cex));
-
+        std::vector<Entry> leaves;
         for (size_t i = 0; i < input_widths_.size(); ++i) {
             if (input_widths_[i] == 0)
                 continue; // Index not referenced by this window.
             Entry leaf;
             leaf.width = input_widths_[i];
             leaf.input_index = static_cast<int>(i);
-            for (const auto &cex : cexs_)
-                leaf.evals.push_back(cex[i]);
-            pushEntry(std::move(leaf));
+            leaves.push_back(leaf);
         }
         for (const auto &info : consts_) {
             Entry leaf;
             leaf.width = info.elem_width * info.lanes;
             leaf.is_const = true;
             leaf.const_info = info;
-            const BitVector value =
-                splat(info.value, info.elem_width, info.lanes);
-            for (size_t c = 0; c < cexs_.size(); ++c)
-                leaf.evals.push_back(value);
-            pushEntry(std::move(leaf));
+            leaves.push_back(leaf);
         }
+        // Reserve the bank's bound once (enumeration admits an entry
+        // while the bank holds at most `max_bank_`): the bank and its
+        // columns are the search's largest allocations, and growing
+        // them by doubling raised peak memory.
+        const size_t bound = std::max<size_t>(leaves.size(), max_bank_ + 1);
+        bank_.reserve(bound);
+        bank_values_.resize(cexs_.size());
+        for (std::vector<BitVector> &column : bank_values_)
+            column.reserve(bound);
+        std::vector<BitVector> values;
+        for (const Entry &leaf : leaves) {
+            values.clear();
+            for (const auto &cex : cexs_)
+                values.push_back(leafValue(leaf, cex));
+            pushEntry(leaf, signature(leaf.width, values[0]), values);
+        }
+        for (size_t e = 0; e < bank_.size(); ++e)
+            by_width_[bank_[e].width].push_back(static_cast<int>(e));
     }
 
-    /** Store `entry` unless its signature `sig` is taken. */
-    bool
-    pushEntry(Entry entry, uint64_t sig)
+    /** Store `entry`, moving its `values` into the bank, unless its
+     *  signature `sig` is taken. */
+    void
+    pushEntry(const Entry &entry, uint64_t sig, std::vector<BitVector> &values)
     {
         // Observational-equivalence dedup on the first counterexample
         // (the incumbent stays so indices remain valid).
         if (!sig_map_.try_emplace(sig, static_cast<int>(bank_.size()))
                  .second) {
-            return false;
+            return;
         }
-        bank_.push_back(std::move(entry));
-        return true;
-    }
-
-    bool
-    pushEntry(Entry entry)
-    {
-        const uint64_t sig = signature(entry.width, entry.evals[0]);
-        return pushEntry(std::move(entry), sig);
+        bank_.push_back(entry);
+        for (size_t c = 0; c < values.size(); ++c)
+            bank_values_[c].push_back(std::move(values[c]));
     }
 
     /** Does a solution-width `value` agree with the spec on
@@ -536,39 +588,52 @@ class Search
         return true;
     }
 
-    /** Does `entry` satisfy the constraints on counterexamples
-     *  `from` onwards? */
+    /** Do a solution-width candidate's `values`, one per
+     *  counterexample, satisfy the constraints on every one? */
     bool
-    goalMatches(const Entry &entry, size_t from) const
+    matchesAll(const std::vector<BitVector> &values) const
     {
-        if (entry.width != out_width_)
-            return false;
-        for (size_t c = from; c < cexs_.size(); ++c) {
-            if (!matchesOn(entry.evals[c], c))
+        for (size_t c = 0; c < values.size(); ++c) {
+            if (!matchesOn(values[c], c))
                 return false;
         }
         return true;
     }
 
-    /** Enumerate programs depth by depth; returns the cheapest
-     *  constraint-satisfying bank index or -1. */
+    /** The cheapest solution, the first found on ties, or -1. */
+    int
+    cheapestSolution() const
+    {
+        int best = -1;
+        for (size_t s = 0; s < solutions_.size(); ++s) {
+            if (best < 0 ||
+                solutions_[s].entry.cost < solutions_[best].entry.cost)
+                best = static_cast<int>(s);
+        }
+        return best;
+    }
+
+    /**
+     * The cheapest solution that survives every counterexample so far;
+     * when none does, enumerate on from the depth after the last one
+     * enumerated (in an earlier round, or none). Returns a solution
+     * index or -1. Leaves never win: a bare input or constant is not a
+     * program (it has no instruction), so solutions start at depth 1.
+     */
     int
     enumerate()
     {
-        seedLeaves();
-        // Leaves never win: a bare input or constant is not a program
-        // (it has no instruction), so winners start at depth 1.
-        int best = -1;
-
-        std::map<int, std::vector<int>> by_width;
-        for (size_t e = 0; e < bank_.size(); ++e)
-            by_width[bank_[e].width].push_back(static_cast<int>(e));
-
-        for (int depth = 1; depth <= options_.max_insts; ++depth) {
+        int best = cheapestSolution();
+        if (best >= 0)
+            HYD_LOG(Debug, format("[cegis] %zu depth-%d solutions survive",
+                                  solutions_.size(), next_depth_ - 1));
+        for (; best < 0 && next_depth_ <= options_.max_insts;
+             ++next_depth_) {
+            const int depth = next_depth_;
             // Cheap operands first: the per-op combination budget then
             // spends itself on the low-cost corner of the space, which
             // is where minimum-cost solutions live.
-            for (auto &[width, indices] : by_width) {
+            for (auto &[width, indices] : by_width_) {
                 (void)width;
                 std::sort(indices.begin(), indices.end(),
                           [&](int a, int b) {
@@ -578,14 +643,14 @@ class Search
             const size_t level_start = bank_.size();
             for (size_t op_idx = 0; op_idx < grammar_.ops.size(); ++op_idx) {
                 if (deadlineExpired())
-                    return best;
+                    return cheapestSolution();
                 const GrammarOp &op = grammar_.ops[op_idx];
                 // Operand candidate lists per argument position.
                 std::vector<const std::vector<int> *> cands;
                 bool feasible = true;
                 for (int w : op.arg_widths) {
-                    auto it = by_width.find(w);
-                    if (it == by_width.end()) {
+                    auto it = by_width_.find(w);
+                    if (it == by_width_.end()) {
                         feasible = false;
                         break;
                     }
@@ -606,7 +671,7 @@ class Search
                 std::vector<int> pick(cands.size(), 0);
                 while (budget-- > 0) {
                     if (deadlineExpiredSampled())
-                        return best;
+                        return cheapestSolution();
                     // Depth pruning: at least one operand from the
                     // previous level keeps enumeration leveled.
                     int max_depth = 0;
@@ -620,7 +685,7 @@ class Search
                         for (size_t ii = 0; ii < n_imms; ++ii) {
                             tryCandidate(op, static_cast<int>(op_idx), ii,
                                          cands, pick, tree_cost, depth,
-                                         best, quota, stored_this_op);
+                                         quota, stored_this_op);
                         }
                     }
                     // Advance the odometer.
@@ -638,14 +703,15 @@ class Search
             }
             // Register the new level's widths.
             for (size_t e = level_start; e < bank_.size(); ++e)
-                by_width[bank_[e].width].push_back(static_cast<int>(e));
-            HYD_LOG(Debug, format("[cegis] depth %d: bank %zu, best %d",
-                                  depth, bank_.size(), best));
-            if (best >= 0)
-                return best; // Favor shorter sequences (paper §4.2).
-            // A full bank stops accumulating intermediates (see
-            // tryCandidate) but deeper levels still combine the
-            // cheapest existing entries.
+                by_width_[bank_[e].width].push_back(static_cast<int>(e));
+            HYD_LOG(Debug,
+                    format("[cegis] depth %d: bank %zu, solutions %zu",
+                           depth, bank_.size(), solutions_.size()));
+            // Any solution ends the round: favor shorter sequences
+            // (paper §4.2). A full bank stops accumulating
+            // intermediates (see tryCandidate) but deeper levels still
+            // combine the cheapest existing entries.
+            best = cheapestSolution();
         }
         return best;
     }
@@ -697,18 +763,22 @@ class Search
 
     /**
      * One candidate: op `op_idx` with immediate slot `slot` on the
-     * operands `pick` selects. Evaluate, decide, build: its value on
-     * the first counterexample already decides every rejection that
-     * cannot depend on the others, so an Entry and the remaining
-     * evaluations are paid only for candidates that are stored or
-     * might still match. The decisions, and their order, are those of
-     * evaluating every counterexample first.
+     * operands `pick` selects. It enters the bank when its
+     * first-counterexample signature is new and neither the bank nor
+     * the op's quota is full, and the solutions when it matches every
+     * counterexample (even as a duplicate or in a full bank: a
+     * near-miss twin, a saturating variant agreeing on the first
+     * counterexample say, must not shadow the true solution). Its
+     * value on the first counterexample already decides every
+     * rejection that cannot depend on the others, so an Entry and the
+     * remaining evaluations are paid only for candidates that are
+     * stored or might still match.
      */
     void
     tryCandidate(const GrammarOp &op, int op_idx, size_t slot,
                  const std::vector<const std::vector<int> *> &cands,
                  const std::vector<int> &pick, int tree_cost, int depth,
-                 int &best, int quota, int &stored_this_op)
+                 int quota, int &stored_this_op)
     {
         // Statically dead solution-width candidates can never match;
         // they are only worth keeping as intermediates.
@@ -718,10 +788,9 @@ class Search
             !opStaticallyFeasible(op_idx, slot);
         if (statically_dead)
             ++stat_rejected_static_;
-        const bool may_match = solution_width && !statically_dead;
-        // When the bank or this op's fair share is full, only
-        // *solutions* may still enter (they are checked before
-        // storage below); intermediate values stop accumulating.
+        const bool may_match =
+            solution_width && !statically_dead &&
+            static_cast<int>(solutions_.size()) < max_bank_;
         const bool bank_full =
             static_cast<int>(bank_.size()) > max_bank_ ||
             stored_this_op >= quota;
@@ -734,36 +803,35 @@ class Search
         for (size_t a = 0; a < arity; ++a)
             operands[a] = (*cands[a])[pick[a]];
 
-        // Evaluate: the first counterexample only, into a reused
-        // scratch value. Most candidates are observationally
-        // equivalent to an existing entry and never pay for the
-        // remaining counterexamples. (Two values that agree on a
-        // random vector but differ later are overwhelmingly unlikely.)
+        // Evaluate: the first counterexample only. Most candidates are
+        // observationally equivalent to an existing entry and never
+        // pay for the remaining counterexamples. (Two values that
+        // agree on a random vector but differ later are overwhelmingly
+        // unlikely.)
         const BitVector *args[kMaxOpOperands];
         for (size_t a = 0; a < arity; ++a)
-            args[a] = &bank_[operands[a]].evals[0];
-        evalOpBatch(op_idx, slot, args, 1, &first_eval_);
-        const uint64_t sig = signature(op.out_width, first_eval_);
-        const bool duplicate = sig_map_.count(sig) != 0;
-
-        // Decide. A candidate that cannot match dedups like any
-        // intermediate. One that can is match-checked before the
-        // dedup — a near-miss twin (a saturating variant agreeing on
-        // the first counterexample, say) must not shadow the true
-        // solution — but failing the first counterexample already
-        // rules the match out, and with it storage in a full bank.
-        if (!may_match && duplicate) {
-            ++stat_rejected_;
-            return;
-        }
-        const bool fails_first = may_match && !matchesOn(first_eval_, 0);
-        if (fails_first && (duplicate || bank_full)) {
+            args[a] = &bank_values_[0][operands[a]];
+        evalOpBatch(op_idx, slot, args, 1, &cand_values_[0]);
+        const uint64_t sig = signature(op.out_width, cand_values_[0]);
+        const bool banked = !bank_full && sig_map_.count(sig) == 0;
+        if (!banked && (!may_match || !matchesOn(cand_values_[0], 0))) {
             ++stat_rejected_;
             return;
         }
 
-        // Build, and evaluate the remaining counterexamples (there
-        // are at least the two seeds) in one call.
+        // Evaluate the remaining counterexamples (there are at least
+        // the two seeds) in one call, then build.
+        arg_scratch_.clear();
+        for (size_t c = 1; c < cexs_.size(); ++c)
+            for (size_t a = 0; a < arity; ++a)
+                arg_scratch_.push_back(&bank_values_[c][operands[a]]);
+        evalOpBatch(op_idx, slot, arg_scratch_.data(), cexs_.size() - 1,
+                    &cand_values_[1]);
+        const bool match = may_match && matchesAll(cand_values_);
+        if (!banked && !match) {
+            ++stat_rejected_;
+            return;
+        }
         Entry entry;
         entry.width = op.out_width;
         entry.op = op_idx;
@@ -771,31 +839,12 @@ class Search
         entry.cost = tree_cost + op.latency;
         entry.depth = depth;
         std::copy(operands, operands + arity, entry.args.begin());
-        entry.evals.reserve(cexs_.size());
-        entry.evals.push_back(first_eval_);
-        arg_scratch_.clear();
-        for (size_t c = 1; c < cexs_.size(); ++c)
-            for (size_t a = 0; a < arity; ++a)
-                arg_scratch_.push_back(&bank_[operands[a]].evals[c]);
-        entry.evals.resize(cexs_.size());
-        evalOpBatch(op_idx, slot, arg_scratch_.data(), cexs_.size() - 1,
-                    &entry.evals[1]);
-        const bool match = may_match && !fails_first && goalMatches(entry, 1);
-        if (!match && (duplicate || bank_full)) {
-            ++stat_rejected_;
-            return;
-        }
-        if (match) {
-            // Store solutions unconditionally (bypassing dedup).
-            const int idx = static_cast<int>(bank_.size());
-            bank_.push_back(std::move(entry));
+        if (match)
+            solutions_.push_back({entry, cand_values_});
+        if (banked) {
+            pushEntry(entry, sig, cand_values_);
             ++stored_this_op;
-            if (best < 0 || bank_[idx].cost < bank_[best].cost)
-                best = idx;
-            return;
         }
-        pushEntry(std::move(entry), sig);
-        ++stored_this_op;
     }
 
     /** The immediate of `op` in pool slot `slot` (0 without one). */
@@ -848,75 +897,81 @@ class Search
         }
     }
 
+    /** A leaf's value on `inputs`. */
+    static BitVector
+    leafValue(const Entry &leaf, const std::vector<BitVector> &inputs)
+    {
+        if (!leaf.is_const)
+            return inputs[leaf.input_index];
+        return splat(leaf.const_info.value, leaf.const_info.elem_width,
+                     leaf.const_info.lanes);
+    }
+
     BitVector
-    evalEntryOn(int root, const std::vector<BitVector> &inputs)
+    evalEntryOn(const Entry &root, const std::vector<BitVector> &inputs)
     {
         std::map<int, BitVector> memo;
         return evalEntryRec(root, inputs, memo);
     }
 
-    const BitVector &
-    evalEntryRec(int idx, const std::vector<BitVector> &inputs,
+    /** `entry`'s value on `inputs`; `memo` holds each bank operand's
+     *  value once. */
+    BitVector
+    evalEntryRec(const Entry &entry, const std::vector<BitVector> &inputs,
                  std::map<int, BitVector> &memo)
     {
-        auto it = memo.find(idx);
-        if (it != memo.end())
-            return it->second;
-        const Entry &entry = bank_[idx];
-        if (entry.op < 0 && !entry.is_const)
-            return inputs[entry.input_index];
-        BitVector value(1);
-        if (entry.op < 0) {
-            value = splat(entry.const_info.value,
-                          entry.const_info.elem_width,
-                          entry.const_info.lanes);
-        } else {
-            const GrammarOp &op = grammar_.ops[entry.op];
-            const BitVector *args[kMaxOpOperands];
-            for (size_t a = 0; a < op.arg_widths.size(); ++a)
-                args[a] = &evalEntryRec(entry.args[a], inputs, memo);
-            evalOpBatch(entry.op, entry.imm_slot, args, 1, &value);
+        if (entry.op < 0)
+            return leafValue(entry, inputs);
+        const GrammarOp &op = grammar_.ops[entry.op];
+        const BitVector *args[kMaxOpOperands];
+        for (size_t a = 0; a < op.arg_widths.size(); ++a) {
+            const int arg = entry.args[a];
+            auto it = memo.find(arg);
+            if (it == memo.end()) {
+                BitVector value = evalEntryRec(bank_[arg], inputs, memo);
+                it = memo.emplace(arg, std::move(value)).first;
+            }
+            args[a] = &it->second;
         }
-        return memo.emplace(idx, std::move(value)).first->second;
+        BitVector value;
+        evalOpBatch(entry.op, entry.imm_slot, args, 1, &value);
+        return value;
     }
 
+    /** Append `entry`'s instructions to `module`, operands first;
+     *  `memo` emits each bank operand once. */
     ValueRef
-    buildModule(int idx, int scale, AutoModule &module,
-                std::map<int, ValueRef> &memo,
-                InstParams *params) const
+    buildModule(const Entry &entry, int scale, AutoModule &module,
+                std::map<int, ValueRef> &memo, InstParams *params) const
     {
-        auto it = memo.find(idx);
-        if (it != memo.end())
-            return it->second;
-        const Entry &entry = bank_[idx];
-        ValueRef ref;
         if (entry.op < 0) {
-            if (entry.is_const) {
-                module.constants.push_back(
-                    splat(entry.const_info.value,
-                          entry.const_info.elem_width,
-                          entry.const_info.lanes * scale));
-                ref = ValueRef::constant(
-                    static_cast<int>(module.constants.size()) - 1);
-            } else {
-                ref = ValueRef::input(entry.input_index);
-            }
-        } else {
-            const GrammarOp &op = grammar_.ops[entry.op];
-            AutoInst inst;
-            inst.op = op.variant;
-            for (size_t a = 0; a < op.arg_widths.size(); ++a)
-                inst.args.push_back(
-                    buildModule(entry.args[a], scale, module, memo, params));
-            if (op.n_imms > 0)
-                inst.int_args.push_back(immAt(op, entry.imm_slot));
-            module.insts.push_back(std::move(inst));
-            if (params)
-                params->push_back(op.scaled_params);
-            ref = ValueRef::inst(static_cast<int>(module.insts.size()) - 1);
+            if (!entry.is_const)
+                return ValueRef::input(entry.input_index);
+            module.constants.push_back(
+                splat(entry.const_info.value, entry.const_info.elem_width,
+                      entry.const_info.lanes * scale));
+            return ValueRef::constant(
+                static_cast<int>(module.constants.size()) - 1);
         }
-        memo.emplace(idx, ref);
-        return ref;
+        const GrammarOp &op = grammar_.ops[entry.op];
+        AutoInst inst;
+        inst.op = op.variant;
+        for (size_t a = 0; a < op.arg_widths.size(); ++a) {
+            const int arg = entry.args[a];
+            auto it = memo.find(arg);
+            if (it == memo.end()) {
+                const ValueRef ref =
+                    buildModule(bank_[arg], scale, module, memo, params);
+                it = memo.emplace(arg, ref).first;
+            }
+            inst.args.push_back(it->second);
+        }
+        if (op.n_imms > 0)
+            inst.int_args.push_back(immAt(op, entry.imm_slot));
+        module.insts.push_back(std::move(inst));
+        if (params)
+            params->push_back(op.scaled_params);
+        return ValueRef::inst(static_cast<int>(module.insts.size()) - 1);
     }
 
     const AutoLLVMDict &dict_;
@@ -936,16 +991,34 @@ class Search
     std::vector<std::vector<BitVector>> cexs_;
     std::vector<BitVector> spec_evals_;
     std::vector<int> failing_lanes_;
+    /** Every stored value, leaves first; kept across counterexamples. */
     std::vector<Entry> bank_;
+    /** `bank_values_[c][e]`: bank entry `e` on counterexample `c`. A
+     *  new counterexample adds one column. */
+    std::vector<std::vector<BitVector>> bank_values_;
     std::unordered_map<uint64_t, int> sig_map_;
+    /** Bank indices by width, each level added once it is complete. */
+    std::map<int, std::vector<int>> by_width_;
+    /** The depth the next enumeration starts at. */
+    int next_depth_ = 1;
+    /** A candidate that matches every counterexample so far, with its
+     *  value on each. */
+    struct Solution
+    {
+        Entry entry;
+        std::vector<BitVector> values;
+    };
+    /** The solutions in the order found; all of one depth, at most
+     *  `max_bank_`. */
+    std::vector<Solution> solutions_;
     /** Immediate slots per op in slots_ (at least one). */
     size_t imm_slots_;
     /** Per-(op, immediate slot) state; see OpSlot. */
     std::vector<OpSlot> slots_;
     /** Operand pointers for batched evaluation (reused). */
     std::vector<const BitVector *> arg_scratch_;
-    /** A candidate's value on the first counterexample (reused). */
-    BitVector first_eval_;
+    /** A candidate's value on each counterexample (reused). */
+    std::vector<BitVector> cand_values_;
     long stat_rejected_ = 0;
     long stat_rejected_static_ = 0;
     int stat_cexs_found_ = 0;

@@ -23,16 +23,24 @@
  *     see DESIGN.md §1).
  *
  * A search ends by work, not time: `max_insts` depths x grammar ops x
- * `max_combos` operand tuples, `kCegisRounds` rounds, a `kMaxBank`
- * bank. `timeout_seconds` is one safety net that no bench or test
- * reaches; a search that does ends `timeout`, counts
+ * `max_combos` operand tuples in all, however many of its
+ * `kCegisRounds` rounds it takes (each depth is enumerated once per
+ * search), and at most `kMaxBank` entries each in the bank and the
+ * solutions list. `timeout_seconds` is one safety net that no bench or
+ * test reaches; a search that does ends `timeout`, counts
  * `synthesis.cegis.deadline_hits` and fails a bench run. The
  * `cegis.timeout` fault site tests that path.
  *
  * The enumeration uses observational-equivalence deduplication: two
- * candidate values with identical outputs on every counterexample
- * collapse into the cheaper one. This plays the role of the SMT
- * solver's search in Rosette (see DESIGN.md, substitution table).
+ * candidate values with identical outputs on counterexample 0 (the
+ * first random seed input) collapse into the one found first. This
+ * plays the role of the SMT solver's search in Rosette (see DESIGN.md,
+ * substitution table). Bank admission reads counterexample 0 alone, so
+ * the bank lives as long as the search: a new counterexample evaluates
+ * each entry once more, and the next round resumes at the depth after
+ * the last one enumerated. Candidates that match every counterexample
+ * go to a separate solutions list, which a new counterexample filters;
+ * a round whose cheapest solution survives enumerates nothing.
  */
 #ifndef HYDRIDE_SYNTHESIS_CEGIS_H
 #define HYDRIDE_SYNTHESIS_CEGIS_H

@@ -448,17 +448,24 @@ struct PinnedSearch
 
 TEST(Cegis, SearchWorkCountersArePinned)
 {
-    // The exact counters of four fixed searches. Any change to
+    // The exact counters of five fixed searches. Any change to
     // enumeration order, dedup, bank admission or the match check
     // moves at least one of them, so a change meant to make the search
     // cheaper, not different, must leave them alone. The deadline is
     // far away: these searches end on their own.
     const PinnedSearch pinned[] = {
-        // A counterexample round: the first winner fails verification.
-        // Its winner shares its first-counterexample value with a bank
-        // entry, so deduplicating before the match check loses it.
-        {"arm", "max_pool", 128, 0, 3, 4000, 2, 1, 190253, 0, "",
+        // A counterexample round: the first winner fails verification
+        // and no depth-2 solution survives, so round 2 enumerates depth
+        // 3 only. Its winner shares its first-counterexample value with
+        // a bank entry, so deduplicating before the match check loses
+        // it.
+        {"arm", "max_pool", 128, 0, 3, 4000, 2, 1, 131139, 0, "",
          {"vmaxq_u8", "vmaxq_u8", "vmaxq_u8"}},
+        // The first winner fails verification, but other depth-2
+        // solutions survive the counterexample: round 2 returns the
+        // cheapest of them and enumerates nothing.
+        {"x86", "max_pool", 512, 0, 3, 4000, 2, 1, 10775, 0, "",
+         {"_mm512_max_epu8", "_mm512_max_epu8", "_mm512_max_epu8"}},
         // A scaled search that exhausts.
         {"x86", "gaussian3x3", 512, 0, 3, 4000, 1, 0, 246119, 0,
          "search exhausted", {}},
@@ -467,7 +474,7 @@ TEST(Cegis, SearchWorkCountersArePinned)
          {"_mm512_mulhi_epi16", "_mm512_slli_epi16"}},
         // Four-operand x86 mask ops, counterexamples, exhaustion, at
         // scale 1 (the window concatenates registers).
-        {"x86", "sobel3x3", 256, 2, 2, 200, 3, 2, 18367, 244,
+        {"x86", "sobel3x3", 256, 2, 2, 200, 3, 2, 17835, 212,
          "search exhausted", {}},
     };
     for (const PinnedSearch &p : pinned) {
@@ -510,8 +517,8 @@ TEST(Cegis, CounterexampleRechecksStaticallyFeasibleOps)
         synthesizeWindow(dict(), "x86", window, options);
     EXPECT_EQ(result.cegis_iterations, 2);
     EXPECT_EQ(result.counterexamples, 1);
-    EXPECT_EQ(result.candidates_rejected, 1830);
-    EXPECT_EQ(result.candidates_rejected_static, 200);
+    EXPECT_EQ(result.candidates_rejected, 1806);
+    EXPECT_EQ(result.candidates_rejected_static, 196);
     EXPECT_EQ(result.note, "search exhausted");
 }
 
